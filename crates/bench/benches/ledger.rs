@@ -10,8 +10,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::global::DowngradeAction;
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::schedule::{MinuteFootprint, ScheduleLedger};
+use pulse_core::types::{FuncId, Minute};
 use pulse_models::{zoo, ModelFamily};
 use pulse_trace::synth::azure_like_n_with_horizon;
+use pulse_trace::Trace;
 
 /// A fleet of `n` functions round-robined over the standard zoo, every
 /// function planning its highest variant for a 10-minute window from t=0.
@@ -45,15 +47,22 @@ fn setup_sparse(n: usize, stride: usize, incremental: bool) -> (Vec<ModelFamily>
     (fams, ledger)
 }
 
+/// The fleet-scale synthetic trace (10k functions × 30 minutes) with the
+/// zoo assigned round-robin.
+fn azure_10k() -> (Trace, Vec<ModelFamily>) {
+    let trace = azure_like_n_with_horizon(10_000, 42, 30);
+    let z = zoo::standard();
+    let fams = (0..trace.n_functions())
+        .map(|i| z[i % z.len()].clone())
+        .collect();
+    (trace, fams)
+}
+
 /// A 10k-function incremental ledger seeded from the fleet-scale synthetic
 /// trace: every function that fires in the generated window plans a
 /// schedule, everyone else stays idle — the CI perf-smoke scenario.
 fn setup_azure_10k() -> (Vec<ModelFamily>, ScheduleLedger) {
-    let trace = azure_like_n_with_horizon(10_000, 42, 30);
-    let z = zoo::standard();
-    let fams: Vec<_> = (0..trace.n_functions())
-        .map(|i| z[i % z.len()].clone())
-        .collect();
+    let (trace, fams) = azure_10k();
     let mut ledger = ScheduleLedger::for_families(&fams);
     for (f, fun) in trace.functions().iter().enumerate() {
         if let Some(first) = (0..trace.minutes() as u64).find(|&m| fun.at(m) > 0) {
@@ -64,6 +73,30 @@ fn setup_azure_10k() -> (Vec<ModelFamily>, ScheduleLedger) {
         }
     }
     (fams, ledger)
+}
+
+/// The same trace replayed under a fixed 10-minute keep-alive (every
+/// invocation replaces its function's plan, billed minutes retire), the
+/// ledger `owk-10k` maintains: ~6k functions alive at the first live
+/// minute. Returns the minute of the last replay step and the functions
+/// invoked in it.
+fn setup_azure_10k_replayed() -> (ScheduleLedger, Minute, Vec<FuncId>) {
+    let (trace, fams) = azure_10k();
+    let mut ledger = ScheduleLedger::for_families(&fams);
+    let mut invoked = Vec::new();
+    let mut last = 0;
+    for m in 0..trace.minutes() as Minute {
+        invoked.clear();
+        for (f, fun) in trace.functions().iter().enumerate() {
+            if fun.at(m) > 0 {
+                ledger.replace(f, KeepAliveSchedule::constant(m, fams[f].highest_id(), 10));
+                invoked.push(f);
+            }
+        }
+        ledger.retire_minutes_before(m);
+        last = m;
+    }
+    (ledger, last, invoked)
 }
 
 fn bench(c: &mut Criterion) {
@@ -118,6 +151,19 @@ fn bench(c: &mut Criterion) {
         b.iter(|| ledger.replace(37, KeepAliveSchedule::constant(9, 1, 10)))
     });
 
+    // The same refresh at fleet scale: one invocation's plan replaced on the
+    // replayed 10k-function ledger, cycling over the functions invoked in
+    // its last minute. Cost must track the schedule length, not the ~6k
+    // functions alive at each of the minutes it touches.
+    c.bench_function("ledger_replace_azure_10k", |b| {
+        let (mut ledger, last, invoked) = setup_azure_10k_replayed();
+        let mut next = invoked.iter().copied().cycle();
+        b.iter(|| {
+            let f = next.next().unwrap_or(0);
+            ledger.replace(f, KeepAliveSchedule::constant(last, 1, 10))
+        })
+    });
+
     // Incremental vs legacy on a sparse fleet (~5% of functions alive at
     // the probed minute): one schedule refresh followed by the minute
     // meter. The incremental path pays `O(alive)` on the pin, the sweep
@@ -147,7 +193,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // The clean-read fast path: an unmutated minute answers from the pinned
-    // total in `O(log minutes)`, no sweep at all.
+    // total in `O(1)`, no sweep at all.
     c.bench_function("ledger_metered_clean_1000", |b| {
         let (fams, mut ledger) = setup_sparse(1000, 20, true);
         ledger.metered_kam_mb(&fams, 5); // pin once

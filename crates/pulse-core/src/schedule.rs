@@ -40,27 +40,41 @@
 //! * every mutation ([`ScheduleLedger::replace`], [`ScheduleLedger::clear`],
 //!   [`ScheduleLedger::apply_downgrade`], [`ScheduleLedger::apply_eviction`])
 //!   updates a **running keep-alive MB total** per minute by delta and
-//!   records the function in a **dirty set**;
+//!   records the function in a **dirty set**. Membership costs `O(1)` per
+//!   minute whatever the alive count: a minute's set is an *unordered* vec,
+//!   an add is a push, and a removal is a `swap_remove` that re-points the
+//!   one moved member through a per-function position map. Maintaining an
+//!   invocation therefore costs `O(schedule length)`;
 //! * reads ([`ScheduleLedger::metered_kam_mb`],
 //!   [`ScheduleLedger::fill_minute_footprint`],
-//!   [`ScheduleLedger::patch_minute_footprint`]) **pin** the total of a
-//!   mutated minute by re-summing its (small) alive set in ascending
-//!   function order — the exact operand sequence of
-//!   [`ScheduleLedger::keep_alive_mb_at`] — so billed values stay
-//!   bit-identical to the legacy full sweep while costing `O(alive)` instead
-//!   of `O(n_functions)`. The delta-maintained running value is kept only as
-//!   a monitor ([`ScheduleLedger::running_kam_mb_at`]) and as a debug
-//!   cross-check against the pin.
+//!   [`ScheduleLedger::patch_minute_footprint`]) **sort on read**: a minute
+//!   whose set a swap scrambled is sorted (and its members re-pointed)
+//!   before it is visited, then a mutated minute's total is **pinned** by
+//!   re-summing its alive set in ascending function order — the exact
+//!   operand sequence of [`ScheduleLedger::keep_alive_mb_at`] — so billed
+//!   values stay bit-identical to the legacy full sweep while costing
+//!   `O(alive)` (plus an `O(n_functions / 64)` bitmap pass to sort a
+//!   scrambled set) instead of `O(n_functions)`. An unmutated minute is
+//!   never scrambled and answers from its pin in `O(1)`.
+//!   The delta-maintained running value is kept only as a monitor
+//!   ([`ScheduleLedger::running_kam_mb_at`]) and as a debug cross-check
+//!   against the pin.
+//!
+//! The minute states live in a ring that starts at the retirement point
+//! ([`ScheduleLedger::retire_minutes_before`]); retired states are reset and
+//! reused for the minutes the ring grows into, so steady-state maintenance
+//! allocates nothing. An empty minute answers exactly as an unplanned one.
 //!
 //! Ledgers built with [`ScheduleLedger::new`] have no index and answer every
 //! query through the legacy full-sweep path, so existing callers and
 //! snapshots are unaffected.
 
+use crate::convert::{gap_to_index, len_to_u32, window_to_len};
 use crate::global::{AliveModel, DowngradeAction};
 use crate::individual::KeepAliveSchedule;
 use crate::types::{FuncId, Minute};
 use pulse_models::{CostModel, ModelFamily, VariantId};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Raw in-plan marker for a "dead" minute inside a schedule: the container
 /// is not alive even though the plan covers the minute. This is the storage
@@ -128,8 +142,9 @@ pub struct MinuteFootprint {
 /// One minute of the incremental index: the alive set plus a running total.
 #[derive(Debug, Clone, Default)]
 struct MinuteState {
-    /// Alive functions at the minute, ascending — mirror of what the legacy
-    /// full sweep would visit.
+    /// Alive functions at the minute, in no particular order while
+    /// `unsorted`. Reads sort it first, so every visit is ascending — the
+    /// order the legacy full sweep uses.
     funcs: Vec<FuncId>,
     /// Keep-alive MB at the minute. Between mutations and pins this is the
     /// delta-maintained running value; once pinned (and while `dirty` is
@@ -138,6 +153,47 @@ struct MinuteState {
     /// Whether `running_mb` has been updated by delta since the last pin
     /// (deltas are not bit-identical to re-summing, so billed reads re-pin).
     dirty: bool,
+    /// Whether a push or `swap_remove` left `funcs` out of ascending order.
+    /// Only a mutation scrambles the set and every mutation also sets
+    /// `dirty`, so a clean minute is always sorted.
+    unsorted: bool,
+}
+
+impl MinuteState {
+    /// Back to the empty minute, keeping the set's allocation for reuse.
+    fn reset(&mut self) {
+        self.funcs.clear();
+        self.running_mb = 0.0;
+        self.dirty = false;
+        self.unsorted = false;
+    }
+}
+
+/// Where one function sits in the minute sets its current schedule covers.
+#[derive(Debug, Clone, Default)]
+struct Positions {
+    /// First minute of the schedule (`invoked_at + 1`).
+    first: Minute,
+    /// `at[i]`: the function's index in the set of minute `first + i`.
+    /// Meaningful only where that slot is alive and the minute indexed.
+    /// Stored as `u32` to halve the map; a set never nears 2^32 members.
+    at: Vec<u32>,
+}
+
+impl Positions {
+    /// The function's index in minute `t`'s set.
+    fn get(&self, t: Minute) -> Option<usize> {
+        let at = self.at.get(gap_to_index(t.checked_sub(self.first)?))?;
+        Some(gap_to_index(u64::from(*at)))
+    }
+
+    /// Record the function at index `at` of minute `t`'s set.
+    fn set(&mut self, t: Minute, at: usize) {
+        let offset = t.checked_sub(self.first).map(gap_to_index);
+        if let Some(slot) = offset.and_then(|i| self.at.get_mut(i)) {
+            *slot = len_to_u32(at);
+        }
+    }
 }
 
 /// The incremental side-structure of a [`ScheduleLedger::for_families`]
@@ -148,12 +204,20 @@ struct LedgerIndex {
     /// Memory ladders snapshotted at construction (`mem[f][v]`), used for
     /// delta updates where no `families` slice is in scope.
     mem: Vec<Vec<f64>>,
-    /// Live minute states, keyed by minute. Only minutes with at least one
-    /// alive function are present.
-    states: BTreeMap<Minute, MinuteState>,
+    /// Minute states: `ring[i]` is minute `retired_before + i`. Minutes past
+    /// the end are empty.
+    ring: VecDeque<MinuteState>,
+    /// Reset states retired off the ring's front, reused as it grows (at
+    /// most as many as the ring holds, so a one-off spike is not retained).
+    spare: Vec<MinuteState>,
     /// Minutes below this have been retired ([`ScheduleLedger::retire_minutes_before`]);
     /// queries against them fall back to the legacy sweep.
     retired_before: Minute,
+    /// Per-function position map into the minute sets (`pos[f]`).
+    pos: Vec<Positions>,
+    /// One bit per function, all clear between reads: the bucket
+    /// [`sort_members`] sorts a scrambled set through.
+    mark: Vec<u64>,
     /// Functions mutated since the last footprint fill/patch, deduplicated.
     dirty: Vec<FuncId>,
     /// Membership mask for `dirty` (indexed by function).
@@ -171,10 +235,10 @@ impl LedgerIndex {
                         .collect()
                 })
                 .collect(),
-            states: BTreeMap::new(),
-            retired_before: 0,
-            dirty: Vec::new(),
+            pos: vec![Positions::default(); families.len()],
+            mark: vec![0; families.len().div_ceil(64)],
             dirty_mark: vec![false; families.len()],
+            ..Self::default()
         }
     }
 
@@ -193,83 +257,134 @@ impl LedgerIndex {
         }
     }
 
+    /// Ring index of minute `t`, `None` when it is retired.
+    fn ring_index(&self, t: Minute) -> Option<usize> {
+        t.checked_sub(self.retired_before).map(gap_to_index)
+    }
+
+    /// Minute `t`'s state with its set ascending (sorting and re-pointing
+    /// its members if a swap scrambled it); `None` when the minute is empty
+    /// or not indexed.
+    fn read_state(&mut self, t: Minute) -> Option<&mut MinuteState> {
+        let i = self.ring_index(t)?;
+        let state = self.ring.get_mut(i).filter(|s| !s.funcs.is_empty())?;
+        if state.unsorted {
+            sort_members(&mut state.funcs, &mut self.mark);
+            for (at, &f) in state.funcs.iter().enumerate() {
+                self.pos[f].set(t, at);
+            }
+            state.unsorted = false;
+        }
+        Some(state)
+    }
+
+    /// Add `f` to minute `t`'s set (growing the ring to reach it) and
+    /// return its position; `None` for a retired minute.
+    fn insert(&mut self, f: FuncId, t: Minute, mb: f64) -> Option<usize> {
+        let i = self.ring_index(t)?;
+        while self.ring.len() <= i {
+            self.ring.push_back(self.spare.pop().unwrap_or_default());
+        }
+        let state = &mut self.ring[i];
+        state.unsorted |= state.funcs.last().is_some_and(|&g| g > f);
+        state.funcs.push(f);
+        state.running_mb += mb;
+        state.dirty = true;
+        Some(state.funcs.len() - 1)
+    }
+
+    /// Drop `f` (holding `mb`) from indexed minute `t`'s set in `O(1)`: the
+    /// last member is swapped into its place and re-pointed.
+    fn unlink(&mut self, f: FuncId, t: Minute, mb: f64) {
+        let i = self.ring_index(t);
+        let Some(state) = i.and_then(|i| self.ring.get_mut(i)) else {
+            debug_assert!(false, "indexed minute {t} missing");
+            return;
+        };
+        let Some(at) = self.pos[f]
+            .get(t)
+            .filter(|&at| state.funcs.get(at) == Some(&f))
+        else {
+            debug_assert!(false, "function {f} misplaced in indexed minute {t}");
+            return;
+        };
+        state.funcs.swap_remove(at);
+        if state.funcs.is_empty() {
+            state.reset();
+            return;
+        }
+        state.running_mb -= mb;
+        state.dirty = true;
+        if let Some(&moved) = state.funcs.get(at) {
+            state.unsorted = true;
+            self.pos[moved].set(t, at);
+        }
+    }
+
     /// Remove every alive minute of `sched` (for function `f`) from the index.
     fn remove_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
         for (t, raw) in sched.iter() {
-            let Some(v) = Slot::from_raw(raw).alive() else {
-                continue;
-            };
-            if t < self.retired_before {
-                continue;
-            }
-            let Some(state) = self.states.get_mut(&t) else {
-                debug_assert!(false, "indexed minute {t} missing on removal");
-                continue;
-            };
-            if let Ok(i) = state.funcs.binary_search(&f) {
-                state.funcs.remove(i);
-                state.running_mb -= self.mem[f][v];
-                state.dirty = true;
-            } else {
-                debug_assert!(false, "function {f} missing from indexed minute {t}");
-            }
-            if state.funcs.is_empty() {
-                self.states.remove(&t);
+            if let Some(v) = Slot::from_raw(raw).alive() {
+                if t >= self.retired_before {
+                    self.unlink(f, t, self.mem[f][v]);
+                }
             }
         }
     }
 
-    /// Add every alive minute of `sched` (for function `f`) to the index.
+    /// Add every alive minute of `sched` (for function `f`) to the index,
+    /// rewriting `f`'s position map to match the new plan.
     fn add_schedule(&mut self, f: FuncId, sched: &KeepAliveSchedule) {
+        let mut pos = std::mem::take(&mut self.pos[f]);
+        pos.first = sched.invoked_at + 1;
+        pos.at.clear();
+        pos.at.resize(window_to_len(sched.window()), 0);
         for (t, raw) in sched.iter() {
-            let Some(v) = Slot::from_raw(raw).alive() else {
-                continue;
-            };
-            if t < self.retired_before {
-                continue;
-            }
-            let state = self.states.entry(t).or_default();
-            if let Err(i) = state.funcs.binary_search(&f) {
-                state.funcs.insert(i, f);
-                state.running_mb += self.mem[f][v];
-                state.dirty = true;
-            } else {
-                debug_assert!(false, "function {f} already in indexed minute {t}");
+            if let Some(v) = Slot::from_raw(raw).alive() {
+                if let Some(at) = self.insert(f, t, self.mem[f][v]) {
+                    pos.set(t, at);
+                }
             }
         }
+        self.pos[f] = pos;
     }
 
     fn on_downgrade(&mut self, f: FuncId, t: Minute, from: VariantId, to: VariantId) {
         self.mark_dirty(f);
-        if t < self.retired_before {
-            return;
-        }
-        if let Some(state) = self.states.get_mut(&t) {
-            state.running_mb += self.mem[f][to] - self.mem[f][from];
+        let delta = self.mem[f][to] - self.mem[f][from];
+        let i = self.ring_index(t);
+        if let Some(state) = i.and_then(|i| self.ring.get_mut(i)) {
+            debug_assert!(!state.funcs.is_empty(), "downgraded minute {t} empty");
+            state.running_mb += delta;
             state.dirty = true;
         } else {
-            debug_assert!(false, "downgraded minute {t} not indexed");
+            debug_assert!(t < self.retired_before, "downgraded minute {t} not indexed");
         }
     }
 
     fn on_evict(&mut self, f: FuncId, t: Minute, from: VariantId) {
         self.mark_dirty(f);
-        if t < self.retired_before {
-            return;
+        if t >= self.retired_before {
+            self.unlink(f, t, self.mem[f][from]);
         }
-        let Some(state) = self.states.get_mut(&t) else {
-            debug_assert!(false, "evicted minute {t} not indexed");
-            return;
-        };
-        if let Ok(i) = state.funcs.binary_search(&f) {
-            state.funcs.remove(i);
-            state.running_mb -= self.mem[f][from];
-            state.dirty = true;
-        } else {
-            debug_assert!(false, "evicted function {f} not in indexed minute {t}");
-        }
-        if state.funcs.is_empty() {
-            self.states.remove(&t);
+    }
+}
+
+/// Sort a minute's set ascending in `O(len + n_functions / 64)` by bucketing
+/// its (unique) members into the all-clear bitmap `mark` and reading them
+/// back in bit order, which leaves `mark` clear again. On the nearly-sorted
+/// sets swaps leave behind, `sort_unstable` measured ~14 ns a member at
+/// 5.3k members; this costs ~2.5 ns.
+fn sort_members(funcs: &mut Vec<FuncId>, mark: &mut [u64]) {
+    for &f in funcs.iter() {
+        mark[f / 64] |= 1 << (f % 64);
+    }
+    funcs.clear();
+    for (w, word) in mark.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            funcs.push(w * 64 + gap_to_index(u64::from(bits.trailing_zeros())));
+            bits &= bits - 1;
         }
     }
 }
@@ -491,13 +606,14 @@ impl ScheduleLedger {
     /// Total keep-alive memory (MB) at minute `t`, bit-identical to
     /// [`Self::keep_alive_mb_at`] but sub-linear on an incremental ledger:
     /// a mutated minute is **pinned** by re-summing its alive set in
-    /// ascending function order (`O(alive)`), an unmutated minute returns
-    /// the previous pin (`O(log minutes)`). Falls back to the full sweep on
-    /// a non-incremental ledger or a retired minute.
+    /// ascending function order (`O(alive)`, plus a sort if a mutation
+    /// scrambled the set), an unmutated minute returns the previous pin
+    /// (`O(1)`). Falls back to the full sweep on a non-incremental ledger or
+    /// a retired minute.
     pub fn metered_kam_mb(&mut self, families: &[ModelFamily], t: Minute) -> f64 {
         if self.indexed_at(t) {
             if let Some(ix) = self.index.as_mut() {
-                let Some(state) = ix.states.get_mut(&t) else {
+                let Some(state) = ix.read_state(t) else {
                     // Empty alive set. The legacy sweep is a `Sum::sum`,
                     // whose f64 identity is -0.0 — returned as-is to stay
                     // bit-identical.
@@ -530,7 +646,7 @@ impl ScheduleLedger {
         if let Some(ix) = self.index.as_mut() {
             ix.clear_dirty();
             if indexed {
-                let Some(state) = ix.states.get_mut(&t) else {
+                let Some(state) = ix.read_state(t) else {
                     return; // empty minute: out stays empty with total 0.0
                 };
                 let mut total = 0.0f64;
@@ -611,7 +727,7 @@ impl ScheduleLedger {
                 }
                 dirty.clear();
                 ix.dirty = dirty;
-                out.total_mb = match ix.states.get_mut(&t) {
+                out.total_mb = match ix.read_state(t) {
                     Some(state) => {
                         if state.dirty {
                             pin_state(state, &self.schedules, families, t);
@@ -632,14 +748,23 @@ impl ScheduleLedger {
     pub fn retire_minutes_before(&mut self, t: Minute) {
         if let Some(ix) = self.index.as_mut() {
             if t > ix.retired_before {
-                ix.states = ix.states.split_off(&t);
+                let n = gap_to_index(t - ix.retired_before).min(ix.ring.len());
+                let keep = ix.ring.len() - n;
+                for mut state in ix.ring.drain(..n) {
+                    // Positions need no reset: a retired minute's slots in
+                    // `pos` are never read again.
+                    if ix.spare.len() < keep {
+                        state.reset();
+                        ix.spare.push(state);
+                    }
+                }
                 ix.retired_before = t;
             }
         }
     }
 
     /// The delta-maintained running total for minute `t` without pinning —
-    /// an `O(log minutes)` monitor, within float-drift of the billed value
+    /// an `O(1)` monitor, within float-drift of the billed value
     /// but *not* bit-identical between mutations and pins. `None` when the
     /// ledger is not incremental or the minute is retired.
     pub fn running_kam_mb_at(&self, t: Minute) -> Option<f64> {
@@ -647,7 +772,8 @@ impl ScheduleLedger {
         if t < ix.retired_before {
             return None;
         }
-        Some(ix.states.get(&t).map_or(0.0, |s| s.running_mb))
+        let ring = ix.ring.get(gap_to_index(t - ix.retired_before));
+        Some(ring.map_or(0.0, |s| s.running_mb))
     }
 
     /// Functions mutated since the last footprint fill/patch (unordered,
@@ -657,7 +783,8 @@ impl ScheduleLedger {
     }
 }
 
-/// Re-sum `state`'s alive set in ascending function order — the exact
+/// Re-sum `state`'s alive set (sorted by [`LedgerIndex::read_state`]) in
+/// ascending function order — the exact
 /// operand sequence of [`ScheduleLedger::keep_alive_mb_at`] — and store the
 /// pinned value.
 fn pin_state(
@@ -985,6 +1112,93 @@ mod tests {
             assert_eq!(
                 ledger.metered_kam_mb(&fams, t).to_bits(),
                 ledger.keep_alive_mb_at(&fams, t).to_bits(),
+                "t={t}"
+            );
+        }
+    }
+
+    /// Minutes retired while they still hold functions hand their states
+    /// back to the ring; the minutes it re-grows into on those recycled
+    /// states must answer exactly like a fresh ledger's.
+    #[test]
+    fn recycled_ring_slots_answer_like_a_fresh_ledger() {
+        let fams = zoo_families(8);
+        let mut ledger = ScheduleLedger::for_families(&fams);
+        // Minutes 1..=6 hold every function, added in descending order so
+        // each set is scrambled; minute 3 is read (sorted and pinned).
+        for f in (0..8).rev() {
+            ledger.replace(f, KeepAliveSchedule::constant(0, fams[f].highest_id(), 6));
+        }
+        ledger.apply_eviction(2, 4);
+        ledger.metered_kam_mb(&fams, 3);
+        ledger.retire_minutes_before(5);
+        let ix = ledger.index.as_ref().unwrap();
+        assert_eq!(
+            (ix.ring.len(), ix.spare.len()),
+            (2, 2),
+            "populated states recycled"
+        );
+        assert!(ledger.running_kam_mb_at(4).is_none(), "retired");
+
+        // Drop every old plan, then plan the same fleet on both ledgers;
+        // the ring grows past minute 6 onto the recycled states.
+        let mut fresh = ScheduleLedger::for_families(&fams);
+        for f in 0..8 {
+            ledger.clear(f);
+        }
+        for f in [6, 1, 4, 0] {
+            let holes = (0..12).map(|i| {
+                if i % 3 == f % 3 {
+                    Slot::Hole
+                } else {
+                    Slot::Alive(1)
+                }
+            });
+            let s = KeepAliveSchedule::from_slots(7 + f as Minute, holes);
+            ledger.replace(f, s.clone());
+            fresh.replace(f, s);
+        }
+        assert!(
+            ledger.index.as_ref().unwrap().spare.is_empty(),
+            "spares reused"
+        );
+        ledger.apply_eviction(4, 15);
+        fresh.apply_eviction(4, 15);
+
+        let (mut a, mut b) = (MinuteFootprint::default(), MinuteFootprint::default());
+        for t in 5..30 {
+            assert_eq!(
+                ledger.running_kam_mb_at(t),
+                fresh.running_kam_mb_at(t),
+                "t={t}"
+            );
+            assert_eq!(
+                ledger.metered_kam_mb(&fams, t).to_bits(),
+                fresh.metered_kam_mb(&fams, t).to_bits(),
+                "t={t}"
+            );
+            ledger.fill_minute_footprint(&fams, t, &mut a);
+            fresh.fill_minute_footprint(&fams, t, &mut b);
+            assert_eq!(a, b, "t={t}");
+        }
+        // Emptied and never-planned minutes both answer as the sweep does.
+        assert_eq!(
+            ledger.metered_kam_mb(&fams, 6).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(ledger.running_kam_mb_at(6), Some(0.0));
+
+        // Retiring past the ring's end empties it; growth restarts there.
+        ledger.retire_minutes_before(100);
+        fresh.retire_minutes_before(100);
+        assert!(ledger.index.as_ref().unwrap().ring.is_empty());
+        for l in [&mut ledger, &mut fresh] {
+            l.replace(3, KeepAliveSchedule::constant(101, 2, 4));
+        }
+        for t in 99..108 {
+            assert_eq!(
+                ledger.metered_kam_mb(&fams, t).to_bits(),
+                fresh.metered_kam_mb(&fams, t).to_bits(),
                 "t={t}"
             );
         }

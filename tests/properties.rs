@@ -370,18 +370,30 @@ proptest! {
     /// The incrementally-maintained ledger answers every billing and
     /// footprint query bit-identically to a from-scratch ascending full
     /// sweep, after arbitrary interleaved schedule mutations — the contract
-    /// both engines' hot paths rely on.
+    /// both engines' hot paths rely on. Plans carry holes, retirements are
+    /// interleaved with mutations, and the fleet is first planned in
+    /// descending function order so the unordered minute sets start out
+    /// scrambled and every read has to sort them.
     #[test]
     fn incremental_ledger_matches_full_sweep_bitwise(
+        seeds in proptest::collection::vec((0u64..30, 0usize..4, any::<u16>()), 64),
         ops in proptest::collection::vec(
-            (0usize..8, 0u64..40, 0u8..5, 0usize..4), 1..60),
+            (0usize..64, 0u64..40, 0u8..6, 0usize..4, any::<u16>()), 1..80),
         probe_minute in 0u64..45,
     ) {
         use pulse::core::individual::KeepAliveSchedule;
-        use pulse::core::schedule::{MinuteFootprint, ScheduleLedger};
+        use pulse::core::schedule::{MinuteFootprint, ScheduleLedger, Slot};
 
         let z = zoo::standard();
-        let fams: Vec<_> = (0..8).map(|i| z[i % z.len()].clone()).collect();
+        let fams: Vec<_> = (0..64).map(|i| z[i % z.len()].clone()).collect();
+        // A 12-minute plan at rung `v` from minute `t`, with a hole at every
+        // offset whose bit is set in `holes`.
+        let plan = |t: u64, v: usize, holes: u16| {
+            let slots = (0..12).map(|i| {
+                if holes >> i & 1 == 1 { Slot::Hole } else { Slot::Alive(v) }
+            });
+            KeepAliveSchedule::new(t, slots.map(Slot::into_raw).collect())
+        };
 
         // The same mutation stream drives an index-backed ledger and a
         // plain one that only knows the legacy full sweep.
@@ -390,17 +402,23 @@ proptest! {
         prop_assert!(inc.is_incremental());
         prop_assert!(!full.is_incremental());
 
+        for (f, &(t, v, holes)) in seeds.iter().enumerate().rev() {
+            let s = plan(t, v % fams[f].n_variants(), holes);
+            inc.replace(f, s.clone());
+            full.replace(f, s);
+        }
+
         // One footprint is kept current with `patch` across the whole
         // stream, exactly like the engines' session-owned buffer.
         let patched_minute = 20u64;
         let mut patched = MinuteFootprint::default();
         inc.fill_minute_footprint(&fams, patched_minute, &mut patched);
 
-        for &(f, t, kind, v) in &ops {
+        for &(f, t, kind, v, holes) in &ops {
             let variant = v % fams[f].n_variants();
             match kind {
                 0 | 1 => {
-                    let s = KeepAliveSchedule::constant(t, variant, 8);
+                    let s = plan(t, variant, holes);
                     inc.replace(f, s.clone());
                     full.replace(f, s);
                 }
@@ -413,10 +431,13 @@ proptest! {
                 3 => {
                     prop_assert_eq!(inc.apply_eviction(f, t), full.apply_eviction(f, t));
                 }
-                _ => {
+                4 => {
                     inc.clear(f);
                     full.clear(f);
                 }
+                // Retire billed minutes mid-stream: later mutations must
+                // skip them and re-grow the minute ring past them.
+                _ => inc.retire_minutes_before(t / 2),
             }
 
             // Billing totals: bitwise equal at the mutated minute, a random
