@@ -22,7 +22,7 @@ fn setup(n: usize) -> (Vec<ModelFamily>, ScheduleLedger) {
     let fams: Vec<_> = (0..n)
         .map(|i| families[i % families.len()].clone())
         .collect();
-    let mut ledger = ScheduleLedger::new(n);
+    let mut ledger = ScheduleLedger::for_families(&fams);
     for (f, fam) in fams.iter().enumerate() {
         ledger.replace(f, KeepAliveSchedule::constant(0, fam.highest_id(), 10));
     }
@@ -31,16 +31,11 @@ fn setup(n: usize) -> (Vec<ModelFamily>, ScheduleLedger) {
 
 /// A sparse fleet: `n` functions, but only every `stride`-th one plans a
 /// schedule covering the probed minute — the realistic fleet-scale shape
-/// (most functions idle at any instant). `incremental` picks the indexed
-/// ledger or the legacy sweep-only one.
-fn setup_sparse(n: usize, stride: usize, incremental: bool) -> (Vec<ModelFamily>, ScheduleLedger) {
+/// (most functions idle at any instant).
+fn setup_sparse(n: usize, stride: usize) -> (Vec<ModelFamily>, ScheduleLedger) {
     let z = zoo::standard();
     let fams: Vec<_> = (0..n).map(|i| z[i % z.len()].clone()).collect();
-    let mut ledger = if incremental {
-        ScheduleLedger::for_families(&fams)
-    } else {
-        ScheduleLedger::new(n)
-    };
+    let mut ledger = ScheduleLedger::for_families(&fams);
     for (f, fam) in fams.iter().enumerate().step_by(stride) {
         ledger.replace(f, KeepAliveSchedule::constant(0, fam.highest_id(), 10));
     }
@@ -164,13 +159,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Incremental vs legacy on a sparse fleet (~5% of functions alive at
-    // the probed minute): one schedule refresh followed by the minute
-    // meter. The incremental path pays `O(alive)` on the pin, the sweep
-    // pays `O(n)` regardless — sub-linear in total function count.
+    // Indexed read vs full sweep on a sparse fleet (~5% of functions alive
+    // at the probed minute): one schedule refresh followed by the minute
+    // meter. The indexed read pays `O(alive)` on the pin, the sweep pays
+    // `O(n)` regardless — sub-linear in total function count.
     let mut group = c.benchmark_group("ledger_metered_sparse_update");
     for &n in &[100usize, 1000, 10_000] {
-        let (fams, mut ledger) = setup_sparse(n, 20, true);
+        let (fams, mut ledger) = setup_sparse(n, 20);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 ledger.replace(0, KeepAliveSchedule::constant(0, 1, 10));
@@ -182,7 +177,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ledger_sweep_sparse_update");
     for &n in &[100usize, 1000, 10_000] {
-        let (fams, mut ledger) = setup_sparse(n, 20, false);
+        let (fams, mut ledger) = setup_sparse(n, 20);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 ledger.replace(0, KeepAliveSchedule::constant(0, 1, 10));
@@ -195,7 +190,7 @@ fn bench(c: &mut Criterion) {
     // The clean-read fast path: an unmutated minute answers from the pinned
     // total in `O(1)`, no sweep at all.
     c.bench_function("ledger_metered_clean_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
+        let (fams, mut ledger) = setup_sparse(1000, 20);
         ledger.metered_kam_mb(&fams, 5); // pin once
         b.iter(|| ledger.metered_kam_mb(&fams, 5))
     });
@@ -203,7 +198,7 @@ fn bench(c: &mut Criterion) {
     // Footprint refill into a session-owned buffer — the engines' stage-1
     // replacement for the allocating `minute_footprint`.
     c.bench_function("ledger_fill_footprint_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
+        let (fams, mut ledger) = setup_sparse(1000, 20);
         let mut fp = MinuteFootprint::default();
         b.iter(|| {
             ledger.fill_minute_footprint(&fams, 5, &mut fp);
@@ -214,7 +209,7 @@ fn bench(c: &mut Criterion) {
     // Dirty-set patch: one mutated function re-synced into an existing
     // footprint, as the later pipeline stages do.
     c.bench_function("ledger_patch_footprint_1000", |b| {
-        let (fams, mut ledger) = setup_sparse(1000, 20, true);
+        let (fams, mut ledger) = setup_sparse(1000, 20);
         let mut fp = MinuteFootprint::default();
         ledger.fill_minute_footprint(&fams, 5, &mut fp);
         b.iter(|| {

@@ -9,9 +9,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::global::{
-    flatten_peak, flatten_peak_scan, flatten_peak_scratch, AliveModel, FlattenScratch,
+    flatten_peak, flatten_peak_scratch, flatten_peak_with, AliveModel, FlattenScratch,
 };
 use pulse_core::priority::PriorityStructure;
+use pulse_core::probability::Probability;
+use pulse_core::utility::utility_value;
 use pulse_milp::MilpDowngrader;
 use pulse_models::{zoo, ModelFamily};
 
@@ -54,9 +56,17 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Victim selection at fleet scale: the re-score-every-model scan vs the
-    // epoch-lazy priority heap (both produce bit-identical actions; the
-    // heap pays `O(log n)` per eviction instead of `O(n)`).
+    // Victim selection at fleet scale: the re-score-every-model scan
+    // (`flatten_peak_with` scored by `Uv = Ai + Pr + Ip`) vs the epoch-lazy
+    // priority heap (both produce bit-identical actions; the heap pays
+    // `O(log n)` per eviction instead of `O(n)`).
+    let uv = |m: &AliveModel, fam: &ModelFamily, pr: f64| {
+        utility_value(
+            fam.accuracy_improvement(m.variant),
+            Probability::saturating(pr),
+            Probability::saturating(m.invocation_probability),
+        )
+    };
     let mut group = c.benchmark_group("flatten_victim_selection");
     for &n in &[12usize, 100, 1000] {
         let (fams, alive, total) = peak_instance(n);
@@ -65,7 +75,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut a = alive.clone();
                 let mut pr = PriorityStructure::new(n);
-                flatten_peak_scan(&mut a, &fams, &mut pr, total, target)
+                flatten_peak_with(&mut a, &fams, &mut pr, total, target, uv)
             })
         });
         group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, _| {

@@ -19,8 +19,9 @@
 //! unchanged re-keys only the touched entry
 //! ([`PriorityStructure::normalized_single`]), while a bump that moves them
 //! rebuilds the heap wholesale. Both regimes compute bit-identical scores to
-//! the linear-scan reference ([`flatten_peak_scan`]), so the chosen victims,
-//! actions, and final memory are bit-identical too (tests pin this).
+//! the linear scan of [`flatten_peak_with`] under the same `Uv` score, so the
+//! chosen victims, actions, and final memory are bit-identical too (tests
+//! pin this).
 
 use crate::priority::PriorityStructure;
 use crate::probability::Probability;
@@ -118,8 +119,8 @@ pub fn flatten_peak(
     )
 }
 
-/// The paper's `Uv = Ai + Pr + Ip` victim score. Shared by the heap loop
-/// and the scan reference so both compute bit-identical values.
+/// The paper's `Uv = Ai + Pr + Ip` victim score, shared by the heap loop and
+/// its duplicate-id fallback scan.
 fn utility_score(m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
     utility_value(
         fam.accuracy_improvement(m.variant),
@@ -127,27 +128,6 @@ fn utility_score(m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
         Probability::from_invariant(pr),
         // Ip is a caller-filled field; saturate out-of-range input.
         Probability::saturating(m.invocation_probability),
-    )
-}
-
-/// Reference implementation of [`flatten_peak`]: the original
-/// re-score-every-alive-model linear scan, `O(n)` per action. Kept public so
-/// tests and benches can pin the heap-based production path against it
-/// bit-for-bit.
-pub fn flatten_peak_scan(
-    alive: &mut Vec<AliveModel>,
-    families: &[ModelFamily],
-    priority: &mut PriorityStructure,
-    current_kam_mb: f64,
-    target_kam_mb: f64,
-) -> FlattenOutcome {
-    flatten_peak_with(
-        alive,
-        families,
-        priority,
-        current_kam_mb,
-        target_kam_mb,
-        utility_score,
     )
 }
 
@@ -275,9 +255,10 @@ fn pop_victim(
 /// [`flatten_peak`] with a caller-owned [`FlattenScratch`], so repeated
 /// flattening passes reuse the heap and buffers. This is the production
 /// `O(log n)`-per-action path; its victims, actions, and bookkeeping are
-/// bit-identical to [`flatten_peak_scan`]. Alive sets with duplicate or
-/// untracked function ids (never produced by the engines) fall back to the
-/// scan, whose semantics under those inputs are the contract.
+/// bit-identical to the linear scan of [`flatten_peak_with`] under the same
+/// `Uv` score. Alive sets with duplicate or untracked function ids (never
+/// produced by the engines) fall back to that scan, whose semantics under
+/// those inputs are the contract.
 pub fn flatten_peak_scratch(
     scratch: &mut FlattenScratch,
     alive: &mut Vec<AliveModel>,
@@ -287,7 +268,14 @@ pub fn flatten_peak_scratch(
     target_kam_mb: f64,
 ) -> FlattenOutcome {
     if !funcs_unique(&mut scratch.seen, alive, priority.len()) {
-        return flatten_peak_scan(alive, families, priority, current_kam_mb, target_kam_mb);
+        return flatten_peak_with(
+            alive,
+            families,
+            priority,
+            current_kam_mb,
+            target_kam_mb,
+            utility_score,
+        );
     }
     let mut kam = current_kam_mb;
     let mut actions = Vec::new();
@@ -466,6 +454,31 @@ pub fn flatten_peak_with(
 mod tests {
     use super::*;
     use pulse_models::zoo;
+
+    /// The linear-scan reference the heap path is pinned against:
+    /// [`flatten_peak_with`] scored by the public `Uv = Ai + Pr + Ip`.
+    fn scan_reference(
+        alive: &mut Vec<AliveModel>,
+        families: &[ModelFamily],
+        priority: &mut PriorityStructure,
+        current_kam_mb: f64,
+        target_kam_mb: f64,
+    ) -> FlattenOutcome {
+        flatten_peak_with(
+            alive,
+            families,
+            priority,
+            current_kam_mb,
+            target_kam_mb,
+            |m, fam, pr| {
+                utility_value(
+                    fam.accuracy_improvement(m.variant),
+                    Probability::saturating(pr),
+                    Probability::saturating(m.invocation_probability),
+                )
+            },
+        )
+    }
 
     fn families() -> Vec<ModelFamily> {
         vec![zoo::gpt(), zoo::yolo(), zoo::bert()]
@@ -694,7 +707,7 @@ mod tests {
             };
             let mut pr_heap = pr_scan.clone();
             let mut alive_heap = alive_scan.clone();
-            let scan = flatten_peak_scan(&mut alive_scan, &fams, &mut pr_scan, kam, target);
+            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target);
             let heap = flatten_peak_scratch(
                 &mut scratch,
                 &mut alive_heap,
@@ -727,7 +740,7 @@ mod tests {
             let mut alive_heap = alive_scan.clone();
             let kam = total_mem(&alive_scan, &fams);
             let target = kam * (rng.below(10) as f64 / 10.0);
-            let scan = flatten_peak_scan(&mut alive_scan, &fams, &mut pr_scan, kam, target);
+            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target);
             let heap = flatten_peak_scratch(
                 &mut scratch,
                 &mut alive_heap,
@@ -770,7 +783,7 @@ mod tests {
         let mut pr_scan = PriorityStructure::new(fams.len());
         let mut pr_heap = PriorityStructure::new(fams.len());
         let kam = total_mem(&alive_scan, &fams);
-        let scan = flatten_peak_scan(&mut alive_scan, &fams, &mut pr_scan, kam, kam * 0.3);
+        let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, kam * 0.3);
         let heap = flatten_peak(&mut alive_heap, &fams, &mut pr_heap, kam, kam * 0.3);
         assert_outcomes_identical(&scan, &heap);
         assert_eq!(alive_scan, alive_heap);

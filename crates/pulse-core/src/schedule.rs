@@ -15,8 +15,8 @@
 //!   the only supported way to produce or consume it.
 //! * [`ScheduleLedger`] — the per-function schedule table with the footprint
 //!   and billing queries ([`ScheduleLedger::alive_variant_at`],
-//!   [`ScheduleLedger::keep_alive_mb_at`],
-//!   [`ScheduleLedger::keepalive_cost_usd_at`]) and the single
+//!   [`ScheduleLedger::metered_kam_mb`],
+//!   [`ScheduleLedger::fill_minute_footprint`]) and the single
 //!   downgrade/eviction routine ([`ScheduleLedger::apply_downgrade`],
 //!   [`ScheduleLedger::apply_eviction`]) that engines previously hand-rolled.
 //!
@@ -33,9 +33,8 @@
 //!
 //! # Incremental maintenance
 //!
-//! A ledger built with [`ScheduleLedger::for_families`] additionally keeps a
-//! per-minute index of its alive sets so the per-minute hot path is
-//! sub-linear in total function count:
+//! Every ledger keeps a per-minute index of its alive sets so the
+//! per-minute hot path is sub-linear in total function count:
 //!
 //! * every mutation ([`ScheduleLedger::replace`], [`ScheduleLedger::clear`],
 //!   [`ScheduleLedger::apply_downgrade`], [`ScheduleLedger::apply_eviction`])
@@ -52,7 +51,7 @@
 //!   before it is visited, then a mutated minute's total is **pinned** by
 //!   re-summing its alive set in ascending function order — the exact
 //!   operand sequence of [`ScheduleLedger::keep_alive_mb_at`] — so billed
-//!   values stay bit-identical to the legacy full sweep while costing
+//!   values stay bit-identical to the full sweep while costing
 //!   `O(alive)` (plus an `O(n_functions / 64)` bitmap pass to sort a
 //!   scrambled set) instead of `O(n_functions)`. An unmutated minute is
 //!   never scrambled and answers from its pin in `O(1)`.
@@ -65,15 +64,15 @@
 //! reused for the minutes the ring grows into, so steady-state maintenance
 //! allocates nothing. An empty minute answers exactly as an unplanned one.
 //!
-//! Ledgers built with [`ScheduleLedger::new`] have no index and answer every
-//! query through the legacy full-sweep path, so existing callers and
-//! snapshots are unaffected.
+//! The full sweeps [`ScheduleLedger::keep_alive_mb_at`] and
+//! [`ScheduleLedger::minute_footprint`] stay as the reference the indexed
+//! reads are pinned against, and they answer reads of retired minutes.
 
 use crate::convert::{gap_to_index, len_to_u32, window_to_len};
 use crate::global::{AliveModel, DowngradeAction};
 use crate::individual::KeepAliveSchedule;
 use crate::types::{FuncId, Minute};
-use pulse_models::{CostModel, ModelFamily, VariantId};
+use pulse_models::{ModelFamily, VariantId};
 use std::collections::VecDeque;
 
 /// Raw in-plan marker for a "dead" minute inside a schedule: the container
@@ -144,7 +143,7 @@ pub struct MinuteFootprint {
 struct MinuteState {
     /// Alive functions at the minute, in no particular order while
     /// `unsorted`. Reads sort it first, so every visit is ascending — the
-    /// order the legacy full sweep uses.
+    /// order the full sweep uses.
     funcs: Vec<FuncId>,
     /// Keep-alive MB at the minute. Between mutations and pins this is the
     /// delta-maintained running value; once pinned (and while `dirty` is
@@ -211,7 +210,7 @@ struct LedgerIndex {
     /// most as many as the ring holds, so a one-off spike is not retained).
     spare: Vec<MinuteState>,
     /// Minutes below this have been retired ([`ScheduleLedger::retire_minutes_before`]);
-    /// queries against them fall back to the legacy sweep.
+    /// queries against them fall back to the full sweep.
     retired_before: Minute,
     /// Per-function position map into the minute sets (`pos[f]`).
     pos: Vec<Positions>,
@@ -408,40 +407,22 @@ fn variant_of(schedules: &[Option<KeepAliveSchedule>], f: FuncId, t: Minute) -> 
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleLedger {
     schedules: Vec<Option<KeepAliveSchedule>>,
-    /// Incremental per-minute index; `None` for [`Self::new`] ledgers, which
-    /// answer every query through the legacy full-sweep path.
-    index: Option<LedgerIndex>,
+    /// Incremental per-minute index (see the module docs).
+    index: LedgerIndex,
 }
 
 impl ScheduleLedger {
-    /// An empty ledger for `n_functions` functions (legacy full-sweep
-    /// queries only; see [`Self::for_families`] for the incremental form).
-    pub fn new(n_functions: usize) -> Self {
-        Self {
-            schedules: vec![None; n_functions],
-            index: None,
-        }
-    }
-
-    /// An empty ledger for `families.len()` functions with the incremental
-    /// per-minute index enabled: mutations maintain per-minute alive sets,
-    /// running totals, and a dirty-function set, making
-    /// [`Self::metered_kam_mb`] / [`Self::fill_minute_footprint`] /
+    /// An empty ledger for `families.len()` functions. Mutations maintain
+    /// per-minute alive sets, running totals, and a dirty-function set,
+    /// making [`Self::metered_kam_mb`] / [`Self::fill_minute_footprint`] /
     /// [`Self::patch_minute_footprint`] sub-linear in total function count.
-    /// Every `&self` query behaves exactly as on a [`Self::new`] ledger.
     ///
-    /// The same `families` slice must be passed to all queries (as the
-    /// legacy API already requires).
+    /// The same `families` slice must be passed to all queries.
     pub fn for_families(families: &[ModelFamily]) -> Self {
         Self {
             schedules: vec![None; families.len()],
-            index: Some(LedgerIndex::for_families(families)),
+            index: LedgerIndex::for_families(families),
         }
-    }
-
-    /// Whether this ledger maintains the incremental per-minute index.
-    pub fn is_incremental(&self) -> bool {
-        self.index.is_some()
     }
 
     /// Number of functions tracked.
@@ -460,15 +441,13 @@ impl ScheduleLedger {
             return;
         };
         let old = slot.replace(schedule);
-        if let Some(ix) = self.index.as_mut() {
-            if let Some(old) = &old {
-                ix.remove_schedule(f, old);
-            }
-            if let Some(new) = self.schedules[f].as_ref() {
-                ix.add_schedule(f, new);
-            }
-            ix.mark_dirty(f);
+        if let Some(old) = &old {
+            self.index.remove_schedule(f, old);
         }
+        if let Some(new) = self.schedules[f].as_ref() {
+            self.index.add_schedule(f, new);
+        }
+        self.index.mark_dirty(f);
     }
 
     /// Drop `f`'s plan entirely (nothing kept alive until the next
@@ -477,12 +456,9 @@ impl ScheduleLedger {
         let Some(slot) = self.schedules.get_mut(f) else {
             return;
         };
-        let old = slot.take();
-        if let Some(ix) = self.index.as_mut() {
-            if let Some(old) = &old {
-                ix.remove_schedule(f, old);
-                ix.mark_dirty(f);
-            }
+        if let Some(old) = slot.take() {
+            self.index.remove_schedule(f, &old);
+            self.index.mark_dirty(f);
         }
     }
 
@@ -531,17 +507,6 @@ impl ScheduleLedger {
         MinuteFootprint { alive, total_mb }
     }
 
-    /// GB-s metering: the keep-alive cost (USD) billed for minute `t` under
-    /// `cost`, from the post-adjustment schedule footprint.
-    pub fn keepalive_cost_usd_at(
-        &self,
-        families: &[ModelFamily],
-        cost: &CostModel,
-        t: Minute,
-    ) -> f64 {
-        cost.keepalive_cost_usd_per_minutes(self.keep_alive_mb_at(families, t), 1.0)
-    }
-
     /// Apply Algorithm 2's downgrade to minute `t` of `f`'s schedule: clamp
     /// the slot to `to` iff it is currently alive *above* `to`. Holes,
     /// expired plans and slots already at or below the rung are untouched
@@ -556,9 +521,7 @@ impl ScheduleLedger {
             if let Some(s) = self.schedules.get_mut(f).and_then(Option::as_mut) {
                 s.set_slot_at(t, Slot::Alive(to));
             }
-            if let Some(ix) = self.index.as_mut() {
-                ix.on_downgrade(f, t, from, to);
-            }
+            self.index.on_downgrade(f, t, from, to);
         }
         from.is_some()
     }
@@ -573,9 +536,7 @@ impl ScheduleLedger {
             if let Some(s) = self.schedules.get_mut(f).and_then(Option::as_mut) {
                 s.set_slot_at(t, Slot::Hole);
             }
-            if let Some(ix) = self.index.as_mut() {
-                ix.on_evict(f, t, from);
-            }
+            self.index.on_evict(f, t, from);
         }
         from.is_some()
     }
@@ -597,95 +558,76 @@ impl ScheduleLedger {
         actions.iter().filter(|a| self.apply_action(t, a)).count()
     }
 
-    /// Whether minute `t` is answered by the incremental index (as opposed
-    /// to the legacy full sweep).
+    /// Whether minute `t` is still indexed (not yet retired).
     fn indexed_at(&self, t: Minute) -> bool {
-        matches!(&self.index, Some(ix) if t >= ix.retired_before)
+        t >= self.index.retired_before
     }
 
     /// Total keep-alive memory (MB) at minute `t`, bit-identical to
-    /// [`Self::keep_alive_mb_at`] but sub-linear on an incremental ledger:
-    /// a mutated minute is **pinned** by re-summing its alive set in
-    /// ascending function order (`O(alive)`, plus a sort if a mutation
-    /// scrambled the set), an unmutated minute returns the previous pin
-    /// (`O(1)`). Falls back to the full sweep on a non-incremental ledger or
-    /// a retired minute.
+    /// [`Self::keep_alive_mb_at`] but sub-linear: a mutated minute is
+    /// **pinned** by re-summing its alive set in ascending function order
+    /// (`O(alive)`, plus a sort if a mutation scrambled the set), an
+    /// unmutated minute returns the previous pin (`O(1)`). A retired minute
+    /// is answered by the full sweep.
     pub fn metered_kam_mb(&mut self, families: &[ModelFamily], t: Minute) -> f64 {
-        if self.indexed_at(t) {
-            if let Some(ix) = self.index.as_mut() {
-                let Some(state) = ix.read_state(t) else {
-                    // Empty alive set. The legacy sweep is a `Sum::sum`,
-                    // whose f64 identity is -0.0 — returned as-is to stay
-                    // bit-identical.
-                    return -0.0;
-                };
-                if state.dirty {
-                    pin_state(state, &self.schedules, families, t);
-                }
-                return state.running_mb;
-            }
+        if !self.indexed_at(t) {
+            return self.keep_alive_mb_at(families, t);
         }
-        self.keep_alive_mb_at(families, t)
+        let Some(state) = self.index.read_state(t) else {
+            // Empty alive set. The sweep is a `Sum::sum`, whose f64 identity
+            // is -0.0 — returned as-is to stay bit-identical.
+            return -0.0;
+        };
+        if state.dirty {
+            pin_state(state, &self.schedules, families, t);
+        }
+        state.running_mb
     }
 
     /// Fill `out` with the alive set and footprint of minute `t`, reusing
     /// its buffers — the incremental replacement for
     /// [`Self::minute_footprint`] (identical contents, no per-call
-    /// allocation, `O(alive)` on an incremental ledger). Drains the
-    /// dirty-function set: `out` is a faithful mirror of the ledger at `t`
-    /// from here on, and [`Self::patch_minute_footprint`] can keep it so.
+    /// allocation, `O(alive)`). Drains the dirty-function set: `out` is a
+    /// faithful mirror of the ledger at `t` from here on, and
+    /// [`Self::patch_minute_footprint`] can keep it so.
     pub fn fill_minute_footprint(
         &mut self,
         families: &[ModelFamily],
         t: Minute,
         out: &mut MinuteFootprint,
     ) {
+        self.index.clear_dirty();
+        if !self.indexed_at(t) {
+            *out = self.minute_footprint(families, t);
+            return;
+        }
         out.alive.clear();
         out.total_mb = 0.0;
-        let indexed = self.indexed_at(t);
-        if let Some(ix) = self.index.as_mut() {
-            ix.clear_dirty();
-            if indexed {
-                let Some(state) = ix.read_state(t) else {
-                    return; // empty minute: out stays empty with total 0.0
-                };
-                let mut total = 0.0f64;
-                for &f in &state.funcs {
-                    // The index only tracks alive slots; a miss here means
-                    // the add/remove hooks and the schedule diverged.
-                    let Some(v) = variant_of(&self.schedules, f, t) else {
-                        debug_assert!(false, "indexed function {f} not alive at minute {t}");
-                        continue;
-                    };
-                    total += families[f].variant(v).memory_mb;
-                    out.alive.push(AliveModel {
-                        func: f,
-                        variant: v,
-                        invocation_probability: 0.0,
-                    });
-                }
-                debug_assert!(
-                    (state.running_mb - total).abs() <= 1e-6 * total.abs().max(1.0),
-                    "running total drifted from pin: {} vs {total}",
-                    state.running_mb
-                );
-                state.running_mb = total;
-                state.dirty = false;
-                out.total_mb = total;
-                return;
-            }
-        }
+        let Some(state) = self.index.read_state(t) else {
+            return; // empty minute: out stays empty with total 0.0
+        };
         let mut total = 0.0f64;
-        for (f, fam) in families.iter().enumerate().take(self.schedules.len()) {
-            if let Some(v) = variant_of(&self.schedules, f, t) {
-                total += fam.variant(v).memory_mb;
-                out.alive.push(AliveModel {
-                    func: f,
-                    variant: v,
-                    invocation_probability: 0.0,
-                });
-            }
+        for &f in &state.funcs {
+            // The index only tracks alive slots; a miss here means the
+            // add/remove hooks and the schedule diverged.
+            let Some(v) = variant_of(&self.schedules, f, t) else {
+                debug_assert!(false, "indexed function {f} not alive at minute {t}");
+                continue;
+            };
+            total += families[f].variant(v).memory_mb;
+            out.alive.push(AliveModel {
+                func: f,
+                variant: v,
+                invocation_probability: 0.0,
+            });
         }
+        debug_assert!(
+            (state.running_mb - total).abs() <= 1e-6 * total.abs().max(1.0),
+            "running total drifted from pin: {} vs {total}",
+            state.running_mb
+        );
+        state.running_mb = total;
+        state.dirty = false;
         out.total_mb = total;
     }
 
@@ -694,92 +636,84 @@ impl ScheduleLedger {
     /// with the ledger, touching only the functions mutated since — the
     /// dirty-set path the engines' later pipeline stages use instead of
     /// re-materializing the footprint. `out.total_mb` is re-pinned to the
-    /// exact ascending-order sum. Falls back to a full refill on a
-    /// non-incremental ledger.
+    /// exact ascending-order sum. A retired minute is refilled in full.
     pub fn patch_minute_footprint(
         &mut self,
         families: &[ModelFamily],
         t: Minute,
         out: &mut MinuteFootprint,
     ) {
-        let indexed = self.indexed_at(t);
-        if indexed {
-            if let Some(ix) = self.index.as_mut() {
-                let mut dirty = std::mem::take(&mut ix.dirty);
-                for &f in &dirty {
-                    ix.dirty_mark[f] = false;
-                    let now = variant_of(&self.schedules, f, t);
-                    match (out.alive.binary_search_by_key(&f, |m| m.func), now) {
-                        (Ok(i), Some(v)) => out.alive[i].variant = v,
-                        (Ok(i), None) => {
-                            out.alive.remove(i);
-                        }
-                        (Err(i), Some(v)) => out.alive.insert(
-                            i,
-                            AliveModel {
-                                func: f,
-                                variant: v,
-                                invocation_probability: 0.0,
-                            },
-                        ),
-                        (Err(_), None) => {}
-                    }
+        if !self.indexed_at(t) {
+            self.fill_minute_footprint(families, t, out);
+            return;
+        }
+        let ix = &mut self.index;
+        let mut dirty = std::mem::take(&mut ix.dirty);
+        for &f in &dirty {
+            ix.dirty_mark[f] = false;
+            let now = variant_of(&self.schedules, f, t);
+            match (out.alive.binary_search_by_key(&f, |m| m.func), now) {
+                (Ok(i), Some(v)) => out.alive[i].variant = v,
+                (Ok(i), None) => {
+                    out.alive.remove(i);
                 }
-                dirty.clear();
-                ix.dirty = dirty;
-                out.total_mb = match ix.read_state(t) {
-                    Some(state) => {
-                        if state.dirty {
-                            pin_state(state, &self.schedules, families, t);
-                        }
-                        state.running_mb
-                    }
-                    None => 0.0,
-                };
-                return;
+                (Err(i), Some(v)) => out.alive.insert(
+                    i,
+                    AliveModel {
+                        func: f,
+                        variant: v,
+                        invocation_probability: 0.0,
+                    },
+                ),
+                (Err(_), None) => {}
             }
         }
-        self.fill_minute_footprint(families, t, out);
+        dirty.clear();
+        ix.dirty = dirty;
+        out.total_mb = match ix.read_state(t) {
+            Some(state) => {
+                if state.dirty {
+                    pin_state(state, &self.schedules, families, t);
+                }
+                state.running_mb
+            }
+            None => 0.0,
+        };
     }
 
     /// Drop index state for minutes before `t` (both engines call this once
     /// per step so the index holds only the live keep-alive horizon).
-    /// Queries against retired minutes fall back to the legacy sweep.
+    /// Queries against retired minutes fall back to the full sweep.
     pub fn retire_minutes_before(&mut self, t: Minute) {
-        if let Some(ix) = self.index.as_mut() {
-            if t > ix.retired_before {
-                let n = gap_to_index(t - ix.retired_before).min(ix.ring.len());
-                let keep = ix.ring.len() - n;
-                for mut state in ix.ring.drain(..n) {
-                    // Positions need no reset: a retired minute's slots in
-                    // `pos` are never read again.
-                    if ix.spare.len() < keep {
-                        state.reset();
-                        ix.spare.push(state);
-                    }
+        let ix = &mut self.index;
+        if t > ix.retired_before {
+            let n = gap_to_index(t - ix.retired_before).min(ix.ring.len());
+            let keep = ix.ring.len() - n;
+            for mut state in ix.ring.drain(..n) {
+                // Positions need no reset: a retired minute's slots in
+                // `pos` are never read again.
+                if ix.spare.len() < keep {
+                    state.reset();
+                    ix.spare.push(state);
                 }
-                ix.retired_before = t;
             }
+            ix.retired_before = t;
         }
     }
 
     /// The delta-maintained running total for minute `t` without pinning —
     /// an `O(1)` monitor, within float-drift of the billed value
     /// but *not* bit-identical between mutations and pins. `None` when the
-    /// ledger is not incremental or the minute is retired.
+    /// minute is retired.
     pub fn running_kam_mb_at(&self, t: Minute) -> Option<f64> {
-        let ix = self.index.as_ref()?;
-        if t < ix.retired_before {
-            return None;
-        }
-        let ring = ix.ring.get(gap_to_index(t - ix.retired_before));
+        let ring = self.index.ring.get(self.index.ring_index(t)?);
         Some(ring.map_or(0.0, |s| s.running_mb))
     }
 
     /// Functions mutated since the last footprint fill/patch (unordered,
-    /// deduplicated). Empty on a non-incremental ledger.
+    /// deduplicated).
     pub fn dirty_functions(&self) -> &[FuncId] {
-        self.index.as_ref().map_or(&[], |ix| &ix.dirty)
+        &self.index.dirty
     }
 }
 
@@ -837,7 +771,7 @@ mod tests {
 
     fn two_fn_ledger() -> (ScheduleLedger, Vec<ModelFamily>) {
         let fams = vec![zoo::gpt(), zoo::bert()];
-        let mut ledger = ScheduleLedger::new(2);
+        let mut ledger = ScheduleLedger::for_families(&fams);
         // f0: gpt-large (variant 2) minutes 1..=10; f1: bert-large minutes 1..=5.
         ledger.replace(0, KeepAliveSchedule::constant(0, 2, 10));
         ledger.replace(1, KeepAliveSchedule::constant(0, 1, 5));
@@ -888,11 +822,12 @@ mod tests {
 
     #[test]
     fn metering_matches_cost_model() {
-        let (ledger, fams) = two_fn_ledger();
-        let cost = CostModel::aws_lambda();
-        let expect = cost.keepalive_cost_usd_per_minutes(ledger.keep_alive_mb_at(&fams, 2), 1.0);
-        assert_eq!(ledger.keepalive_cost_usd_at(&fams, &cost, 2), expect);
-        assert_eq!(ledger.keepalive_cost_usd_at(&fams, &cost, 500), 0.0);
+        let (mut ledger, fams) = two_fn_ledger();
+        let cost = pulse_models::CostModel::aws_lambda();
+        let bill = |mb: f64| cost.keepalive_cost_usd_per_minutes(mb, 1.0);
+        let expect = bill(ledger.keep_alive_mb_at(&fams, 2));
+        assert_eq!(bill(ledger.metered_kam_mb(&fams, 2)), expect);
+        assert_eq!(bill(ledger.metered_kam_mb(&fams, 500)), 0.0);
     }
 
     #[test]
@@ -980,7 +915,7 @@ mod tests {
         assert_eq!(ledger.n_functions(), 2);
     }
 
-    /// Deterministic LCG so incremental-vs-legacy pinning can cover many
+    /// Deterministic LCG so indexed-vs-sweep pinning can cover many
     /// action interleavings without a rand dependency in pulse-core.
     struct Lcg(u64);
     impl Lcg {
@@ -1007,15 +942,16 @@ mod tests {
         (0..n).map(|f| all[f % all.len()].clone()).collect()
     }
 
-    /// Drive an incremental and a legacy ledger through the same random
-    /// replace/clear/downgrade/evict sequence and require every read —
-    /// metered total, filled footprint, patched footprint — to be
-    /// bit-identical to the legacy ascending-order sweep.
+    /// Drive two ledgers through the same random
+    /// replace/clear/downgrade/evict sequence, one read through the index
+    /// and one only through the full sweep, and require every indexed read
+    /// — metered total, filled footprint — to be bit-identical to the
+    /// ascending-order sweep.
     #[test]
     fn incremental_reads_are_bit_identical_to_full_sweep() {
         let fams = zoo_families(9);
         let mut inc = ScheduleLedger::for_families(&fams);
-        let mut full = ScheduleLedger::new(fams.len());
+        let mut full = ScheduleLedger::for_families(&fams);
         let mut rng = Lcg(0x5eed);
         let mut fp = MinuteFootprint::default();
         for step in 0..400u64 {
@@ -1132,7 +1068,7 @@ mod tests {
         ledger.apply_eviction(2, 4);
         ledger.metered_kam_mb(&fams, 3);
         ledger.retire_minutes_before(5);
-        let ix = ledger.index.as_ref().unwrap();
+        let ix = &ledger.index;
         assert_eq!(
             (ix.ring.len(), ix.spare.len()),
             (2, 2),
@@ -1158,10 +1094,7 @@ mod tests {
             ledger.replace(f, s.clone());
             fresh.replace(f, s);
         }
-        assert!(
-            ledger.index.as_ref().unwrap().spare.is_empty(),
-            "spares reused"
-        );
+        assert!(&ledger.index.spare.is_empty(), "spares reused");
         ledger.apply_eviction(4, 15);
         fresh.apply_eviction(4, 15);
 
@@ -1191,7 +1124,7 @@ mod tests {
         // Retiring past the ring's end empties it; growth restarts there.
         ledger.retire_minutes_before(100);
         fresh.retire_minutes_before(100);
-        assert!(ledger.index.as_ref().unwrap().ring.is_empty());
+        assert!(&ledger.index.ring.is_empty());
         for l in [&mut ledger, &mut fresh] {
             l.replace(3, KeepAliveSchedule::constant(101, 2, 4));
         }
@@ -1208,9 +1141,6 @@ mod tests {
     fn running_total_is_close_between_pins() {
         let fams = zoo_families(4);
         let mut ledger = ScheduleLedger::for_families(&fams);
-        assert!(ledger.is_incremental());
-        assert!(!ScheduleLedger::new(4).is_incremental());
-        assert_eq!(ScheduleLedger::new(4).running_kam_mb_at(3), None);
         for f in 0..4 {
             ledger.replace(f, KeepAliveSchedule::constant(0, fams[f].highest_id(), 8));
         }

@@ -19,7 +19,7 @@ use crate::common::ExpConfig;
 use crate::report::{fmt, Table};
 use pulse_core::types::PulseConfig;
 use pulse_obs::{JsonlSink, ObsEvent, TraceSink};
-use pulse_runtime::{FaultPlan, Runtime, RuntimeConfig, RuntimeSummary};
+use pulse_runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig, RuntimeSummary};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{IntelligentOracle, OpenWhiskFixed, PulsePolicy};
 use pulse_sim::KeepAlivePolicy;
@@ -75,9 +75,12 @@ fn run_one(
                 js.record(&ObsEvent::RunStart {
                     label: format!("chaos/{label}/{policy}"),
                 });
-                rt.run_with_faults_traced(p.as_mut(), plan, js)
+                rt.session_traced(p.as_mut(), plan, ClusterConfig::unlimited(), js)
+                    .finish()
             }
-            None => rt.run_with_faults(p.as_mut(), plan),
+            None => rt
+                .session(p.as_mut(), plan, ClusterConfig::unlimited())
+                .finish(),
         };
         let policy = *policy;
         table.row(vec![

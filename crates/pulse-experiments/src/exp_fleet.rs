@@ -110,9 +110,12 @@ fn run_one(
                 js.record(&ObsEvent::RunStart {
                     label: format!("fleet/{}/{policy}", scenario.name),
                 });
-                rt.run_with_fleet_traced(p.as_mut(), &plan, &scenario.fleet, js)
+                rt.session_traced(p.as_mut(), &plan, scenario.fleet.clone(), js)
+                    .finish()
             }
-            None => rt.run_with_fleet(p.as_mut(), &plan, &scenario.fleet),
+            None => rt
+                .session(p.as_mut(), &plan, scenario.fleet.clone())
+                .finish(),
         };
         let policy = *policy;
         let faults = s.node_crashes + s.node_partitions + s.node_stragglers;

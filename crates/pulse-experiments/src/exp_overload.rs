@@ -115,9 +115,10 @@ fn run_policies(
                 js.record(&ObsEvent::RunStart {
                     label: format!("overload/{scenario}/{name}"),
                 });
-                rt.run_with_cluster_traced(policy.as_mut(), &plan, cluster, js)
+                rt.session_traced(policy.as_mut(), &plan, *cluster, js)
+                    .finish()
             }
-            None => rt.run_with_cluster(policy.as_mut(), &plan, cluster),
+            None => rt.session(policy.as_mut(), &plan, *cluster).finish(),
         };
         table.row(vec![
             scenario.into(),

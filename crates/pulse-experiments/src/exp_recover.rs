@@ -111,10 +111,9 @@ fn sim_recover(
     let mut resume_sink = MemorySink::new();
     let resumed = match &replay.last_checkpoint {
         Some((_, snap)) => {
-            let mut sess = sim
+            let sess = sim
                 .restore_session_traced(&mut resume_policy, snap, &mut resume_sink)
                 .map_err(|e| format!("recovery restore: {e}"))?;
-            while sess.step_minute().is_some() {}
             sess.finish()
         }
         None => sim.run_traced(&mut resume_policy, &mut resume_sink),
@@ -163,9 +162,9 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
     while cur < kill_minute {
         let seg_end = (cur + every).min(kill_minute);
         let mut sess = match &last_ckpt {
-            None => rt.fleet_session_traced(&mut policy, plan, fleet.clone(), &mut journal),
+            None => rt.session_traced(&mut policy, plan, fleet.clone(), &mut journal),
             Some(snap) => rt
-                .restore_fleet_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
+                .restore_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
                 .map_err(|e| format!("{engine} self-restore at minute {cur}: {e}"))?,
         };
         let boundary = seg_end * MS_PER_MINUTE;
@@ -186,8 +185,8 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
     let mut resume_sink = MemorySink::new();
     let resumed = match &replay.last_checkpoint {
         Some((_, snap)) => {
-            let mut sess = rt
-                .restore_fleet_session_traced(
+            let sess = rt
+                .restore_session_traced(
                     &mut resume_policy,
                     plan,
                     fleet.clone(),
@@ -195,10 +194,11 @@ fn rt_recover(case: &RtCase<'_>, kill_minute: u64, every: u64) -> Result<Outcome
                     &mut resume_sink,
                 )
                 .map_err(|e| format!("recovery restore: {e}"))?;
-            while sess.step().is_some() {}
             sess.finish()
         }
-        None => rt.run_with_fleet_traced(&mut resume_policy, plan, fleet, &mut resume_sink),
+        None => rt
+            .session_traced(&mut resume_policy, plan, fleet.clone(), &mut resume_sink)
+            .finish(),
     };
     Ok(Outcome {
         engine,
@@ -249,8 +249,12 @@ pub fn run(cfg: &ExpConfig) -> String {
         },
     );
     let plan = FaultPlan::uniform(0.05, 0.02, 0.01, cfg.seed ^ 0x7EC0);
-    let single = FleetConfig::from_cluster(ClusterConfig::unlimited());
-    let whole_rt = format!("{:?}", rt.run_with_fleet(&mut pulse(&fams), &plan, &single));
+    let single = FleetConfig::from(ClusterConfig::unlimited());
+    let whole_rt = format!(
+        "{:?}",
+        rt.session(&mut pulse(&fams), &plan, single.clone())
+            .finish()
+    );
     let rt_case = RtCase {
         engine: "rt",
         rt: &rt,
@@ -266,7 +270,10 @@ pub fn run(cfg: &ExpConfig) -> String {
     // Multi-node fleet under a rolling node-crash plan.
     let fleet = FleetConfig::uniform(3, NodeCapacity::gb(6.0))
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, horizon));
-    let whole_fleet = format!("{:?}", rt.run_with_fleet(&mut pulse(&fams), &plan, &fleet));
+    let whole_fleet = format!(
+        "{:?}",
+        rt.session(&mut pulse(&fams), &plan, fleet.clone()).finish()
+    );
     let fleet_case = RtCase {
         engine: "fleet",
         rt: &rt,
@@ -333,9 +340,9 @@ fn fleet_journal(
     while cur < horizon {
         let seg_end = (cur + every).min(horizon);
         let mut sess = match &last_ckpt {
-            None => rt.fleet_session_traced(&mut policy, plan, fleet.clone(), &mut journal),
+            None => rt.session_traced(&mut policy, plan, fleet.clone(), &mut journal),
             Some(snap) => rt
-                .restore_fleet_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
+                .restore_session_traced(&mut policy, plan, fleet.clone(), snap, &mut journal)
                 .map_err(|e| format!("journal self-restore at minute {cur}: {e}"))?,
         };
         if seg_end < horizon {
@@ -346,7 +353,6 @@ fn fleet_journal(
             journal.checkpoint(&snap);
             last_ckpt = Some(snap);
         } else {
-            while sess.step().is_some() {}
             let _ = sess.finish();
         }
         cur = seg_end;

@@ -97,8 +97,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Unlimited capacity and unbounded admission: running under this
-    /// configuration is bit-identical to `Runtime::run_with_faults`.
+    /// Unlimited capacity and unbounded admission: the platform
+    /// `Runtime::run` assumes.
     pub fn unlimited() -> Self {
         Self::default()
     }

@@ -26,21 +26,29 @@
 //!    percentiles, cold-start tail behaviour.
 //! 3. **Resilience experiments** — a seeded, deterministic fault-injection
 //!    layer ([`fault`]) with retry/backoff, per-request SLO timeouts, and
-//!    graceful ladder degradation (see `Runtime::run_with_faults` and
-//!    `pulse-exp chaos`).
+//!    graceful ladder degradation (see the [`FaultPlan`] argument of
+//!    [`Runtime::session`] and `pulse-exp chaos`).
 //! 4. **Overload-robustness experiments** — a cluster layer ([`cluster`])
 //!    with a hard per-node keep-alive memory cap (overage flattened by
 //!    utility-ordered pressure downgrades), bounded-backlog admission
 //!    control (excess arrivals shed, not queued forever), and support for
-//!    the `pulse_sim::watchdog` policy fallback (see
-//!    `Runtime::run_with_cluster` and `pulse-exp overload`).
+//!    the `pulse_sim::watchdog` policy fallback (see [`ClusterConfig`] and
+//!    `pulse-exp overload`).
 //! 5. **Fleet-robustness experiments** — a multi-node generalization
 //!    ([`fleet`] + [`node`]): heterogeneous nodes behind a net-utility
 //!    global placer, deterministic node-level faults (crash / straggler /
 //!    partition with heal times), warm-container migration off pressured
-//!    nodes, and two-tier admission (see `Runtime::run_with_fleet` and
-//!    `pulse-exp fleet`). A 1-node fleet with no node faults is
-//!    bit-identical to `run_with_cluster`.
+//!    nodes, and two-tier admission (see [`FleetConfig`] and
+//!    `pulse-exp fleet`). A [`ClusterConfig`] runs as a 1-node fleet with
+//!    no node faults.
+//!
+//! Each run is a [`RuntimeSession`]: [`Runtime::session`] opens one over a
+//! fault plan and a topology (a [`ClusterConfig`] or a [`FleetConfig`]),
+//! [`RuntimeSession::step`] processes one event, and
+//! [`RuntimeSession::finish`] drains the rest and returns the summary.
+//! [`Runtime::run`] is a fault-free session on an unlimited node;
+//! [`Runtime::restore_session`] resumes a snapshotted one. Each has a
+//! `_traced` twin that attaches a [`pulse_obs::TraceSink`].
 //!
 //! ```
 //! use pulse_runtime::{Runtime, RuntimeConfig};

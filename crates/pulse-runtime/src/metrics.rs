@@ -154,9 +154,11 @@ impl RuntimeSummary {
         self.records.iter().filter(|r| r.warm).count() as u64
     }
 
-    /// Cold-started request count.
+    /// Cold-started request count: requests neither warm at arrival nor
+    /// failed. A shed, timed-out or otherwise failed request is not a cold
+    /// start.
     pub fn cold_starts(&self) -> u64 {
-        self.requests() - self.warm_starts()
+        self.records.iter().filter(|r| !r.warm && !r.failed).count() as u64
     }
 
     /// Requests that completed successfully.

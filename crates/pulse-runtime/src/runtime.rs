@@ -3,12 +3,14 @@
 //! The loop is a steppable pipeline: [`Runtime::session`] builds a
 //! [`RuntimeSession`] whose [`RuntimeSession::step`] processes exactly one
 //! event (a minute tick runs observe → adjust → capacity-enforcement →
-//! materialize/bill, in that order), and [`Runtime::run`] /
-//! [`Runtime::run_with_faults`] / [`Runtime::run_with_cluster`] are all the
-//! same `while step()` loop over one implementation. Schedule state lives in
-//! the shared [`pulse_core::schedule::ScheduleLedger`] — the same substrate
-//! the minute engine drives — so downgrade application, footprint metering
-//! and billing are defined once for both engines.
+//! materialize/bill, in that order), and [`RuntimeSession::finish`] drains
+//! whatever is left, so [`Runtime::run`] is `session(..).finish()` over one
+//! implementation. The per-minute adjust stage is
+//! [`pulse_sim::adjust::AdjustStage`], the one the minute engine runs.
+//! Schedule state lives in the shared
+//! [`pulse_core::schedule::ScheduleLedger`] — the same substrate the minute
+//! engine drives — so downgrade application, footprint metering and billing
+//! are defined once for both engines.
 //!
 //! Semantics are aligned with `pulse_sim::Simulator` so the two engines can
 //! be cross-validated (see the `validation` integration tests and
@@ -31,8 +33,9 @@
 //!
 //! What this engine adds over the minute engine: millisecond latency
 //! accounting (queueing behind provisioning, optional per-container
-//! concurrency limits), a per-request record stream, and — via
-//! [`Runtime::run_with_faults`] — a fault-injection and resilience layer.
+//! concurrency limits), a per-request record stream, and — via the
+//! [`FaultPlan`] argument of [`Runtime::session`] — a fault-injection and
+//! resilience layer.
 //!
 //! # Fault semantics
 //!
@@ -62,10 +65,10 @@
 //! Faults draw from a dedicated seeded RNG ([`FaultInjector`]) that never
 //! touches the duration sampler's stream, so the same
 //! `RuntimeConfig.stochastic_seed` + `FaultPlan` reproduce identical
-//! failure sequences, retry schedules and summary counters; and
-//! [`FaultPlan::none`] consumes no randomness and schedules no extra
-//! events, making `run_with_faults(policy, &FaultPlan::none())`
-//! bit-identical to [`Runtime::run`].
+//! failure sequences, retry schedules and summary counters; and a plan
+//! whose rates are all zero (such as [`FaultPlan::none`], the plan
+//! [`Runtime::run`] uses) consumes no randomness and schedules no extra
+//! events.
 
 use crate::cluster::{ClusterConfig, OpsEvent};
 use crate::container::{ContainerState, LiveContainer};
@@ -75,11 +78,12 @@ use crate::fleet::FleetConfig;
 use crate::metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth, NodeSpec};
 use crate::MS_PER_MINUTE;
-use pulse_core::global::{flatten_peak_scratch, AliveModel, DowngradeAction, FlattenScratch};
+use pulse_core::global::{flatten_peak_scratch, DowngradeAction, FlattenScratch};
 use pulse_core::priority::PriorityStructure;
-use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
+use pulse_core::schedule::ScheduleLedger;
 use pulse_models::{CostModel, ModelFamily, VariantId};
 use pulse_obs::{emit, ActionSource, ObsEvent, TraceSink};
+use pulse_sim::adjust::AdjustStage;
 use pulse_sim::policy::{KeepAlivePolicy, MinuteObservation};
 use pulse_trace::Trace;
 use std::collections::VecDeque;
@@ -654,56 +658,12 @@ impl Runtime {
         }
     }
 
-    /// Execute the whole trace under `policy` on a perfectly reliable
-    /// platform (equivalent to [`Self::run_with_faults`] with
-    /// [`FaultPlan::none`]).
+    /// Execute the whole trace under `policy` on a perfectly reliable,
+    /// unlimited node: a [`Self::session`] with [`FaultPlan::none`] and
+    /// [`ClusterConfig::unlimited`], driven to completion.
     pub fn run(&self, policy: &mut dyn KeepAlivePolicy) -> RuntimeSummary {
-        self.run_with_faults(policy, &FaultPlan::none())
-    }
-
-    /// Execute the whole trace under `policy` with faults injected per
-    /// `plan`. See the module docs for the fault semantics; with
-    /// [`FaultPlan::none`] this is bit-identical to [`Self::run`].
-    pub fn run_with_faults(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-    ) -> RuntimeSummary {
-        self.run_with_cluster(policy, plan, &ClusterConfig::unlimited())
-    }
-
-    /// Execute the whole trace under `policy` with faults per `plan` on a
-    /// *finite* node: keep-alive memory is capped by
-    /// [`ClusterConfig::capacity`] (overage flattened by utility-ordered
-    /// pressure downgrades/evictions) and the pending backlog is bounded by
-    /// [`ClusterConfig::admission`] (excess arrivals shed). With
-    /// [`ClusterConfig::unlimited`] this is bit-identical to
-    /// [`Self::run_with_faults`].
-    pub fn run_with_cluster(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        cluster: &ClusterConfig,
-    ) -> RuntimeSummary {
-        self.run_with_fleet(policy, plan, &FleetConfig::from_cluster(*cluster))
-    }
-
-    /// Execute the whole trace under `policy` with faults per `plan` on a
-    /// multi-node *fleet*: cold starts placed by net utility across
-    /// heterogeneous nodes, per-node capacity enforcement, warm-container
-    /// migration off pressured nodes, two-tier admission, and deterministic
-    /// node-level faults (see [`crate::fleet`]). With
-    /// [`FleetConfig::from_cluster`] this is bit-identical to
-    /// [`Self::run_with_cluster`].
-    pub fn run_with_fleet(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: &FleetConfig,
-    ) -> RuntimeSummary {
-        let mut session = self.fleet_session(policy, plan, fleet.clone());
-        while session.step().is_some() {}
-        session.finish()
+        self.session(policy, &FaultPlan::none(), ClusterConfig::unlimited())
+            .finish()
     }
 
     /// [`Self::run`] with a [`TraceSink`] attached (see
@@ -713,96 +673,55 @@ impl Runtime {
         policy: &mut dyn KeepAlivePolicy,
         sink: &mut dyn TraceSink,
     ) -> RuntimeSummary {
-        self.run_with_faults_traced(policy, &FaultPlan::none(), sink)
+        self.session_traced(policy, &FaultPlan::none(), ClusterConfig::unlimited(), sink)
+            .finish()
     }
 
-    /// [`Self::run_with_faults`] with a [`TraceSink`] attached.
-    pub fn run_with_faults_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        self.run_with_cluster_traced(policy, plan, &ClusterConfig::unlimited(), sink)
-    }
-
-    /// [`Self::run_with_cluster`] with a [`TraceSink`] attached.
-    pub fn run_with_cluster_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        cluster: &ClusterConfig,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        self.run_with_fleet_traced(policy, plan, &FleetConfig::from_cluster(*cluster), sink)
-    }
-
-    /// [`Self::run_with_fleet`] with a [`TraceSink`] attached (adds node
-    /// lifecycle and migration events to the stream).
-    pub fn run_with_fleet_traced(
-        &self,
-        policy: &mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: &FleetConfig,
-        sink: &mut dyn TraceSink,
-    ) -> RuntimeSummary {
-        let mut session = self.fleet_session_traced(policy, plan, fleet.clone(), sink);
-        while session.step().is_some() {}
-        session.finish()
-    }
-
-    /// Begin a steppable run: all events (minute ticks, arrivals, optional
-    /// SLO timers) are seeded up front, and each [`RuntimeSession::step`]
-    /// call processes exactly one. [`Self::run_with_cluster`] is precisely
-    /// `while session.step().is_some() {}` + [`RuntimeSession::finish`];
-    /// callers that need to interleave the run with other work (online
-    /// serving shims, co-simulation, the cross-engine equivalence tests)
-    /// drive the same loop by hand.
+    /// Begin a steppable run of `policy` with faults injected per `plan` on
+    /// `topology`: all events (minute ticks, arrivals, node fault windows,
+    /// optional SLO timers) are seeded up front, and each
+    /// [`RuntimeSession::step`] call processes exactly one.
+    /// [`RuntimeSession::finish`] drains what is left, so
+    /// `session(..).finish()` is a whole run; callers that need to
+    /// interleave the run with other work (online serving shims,
+    /// co-simulation, the cross-engine equivalence tests) step it by hand
+    /// first.
+    ///
+    /// * `plan` — the fault semantics in the module docs; with
+    ///   [`FaultPlan::none`] the run consumes no fault randomness and
+    ///   schedules no extra events.
+    /// * `topology` — a [`ClusterConfig`] runs as one nominal node: its
+    ///   keep-alive memory is capped by [`ClusterConfig::capacity`]
+    ///   (overage flattened by utility-ordered pressure downgrades and
+    ///   evictions) and its pending backlog bounded by
+    ///   [`ClusterConfig::admission`] (excess arrivals shed). A
+    ///   [`FleetConfig`] adds heterogeneous nodes: cold starts placed by net
+    ///   utility, per-node capacity enforcement, warm-container migration
+    ///   off pressured nodes, two-tier admission, and deterministic
+    ///   node-level faults (see [`crate::fleet`]).
     pub fn session<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        cluster: ClusterConfig,
+        topology: impl Into<FleetConfig>,
     ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, FleetConfig::from_cluster(cluster), None)
+        self.session_impl(policy, plan, topology.into(), None)
     }
 
     /// [`Self::session`] with a [`TraceSink`] attached: every adjust, bill,
     /// downgrade/eviction (policy- and pressure-sourced), arrival, shed,
-    /// fault degradation/reap and watchdog transition is emitted as a typed
-    /// [`ObsEvent`]. With a disabled sink (e.g. [`pulse_obs::NullSink`]) the
-    /// run is bit-identical to the un-traced one — sinks observe, they
-    /// never steer.
+    /// fault degradation/reap, node lifecycle, migration and watchdog
+    /// transition is emitted as a typed [`ObsEvent`]. With a disabled sink
+    /// (e.g. [`pulse_obs::NullSink`]) the run is bit-identical to the
+    /// un-traced one — sinks observe, they never steer.
     pub fn session_traced<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        cluster: ClusterConfig,
+        topology: impl Into<FleetConfig>,
         sink: &'a mut dyn TraceSink,
     ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, FleetConfig::from_cluster(cluster), Some(sink))
-    }
-
-    /// [`Self::session`] over a multi-node fleet (see
-    /// [`Self::run_with_fleet`] for the semantics).
-    pub fn fleet_session<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-    ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, fleet, None)
-    }
-
-    /// [`Self::fleet_session`] with a [`TraceSink`] attached.
-    pub fn fleet_session_traced<'a>(
-        &'a self,
-        policy: &'a mut dyn KeepAlivePolicy,
-        plan: &FaultPlan,
-        fleet: FleetConfig,
-        sink: &'a mut dyn TraceSink,
-    ) -> RuntimeSession<'a> {
-        self.session_impl(policy, plan, fleet, Some(sink))
+        self.session_impl(policy, plan, topology.into(), Some(sink))
     }
 
     fn session_impl<'a>(
@@ -920,10 +839,7 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            demand_history: Vec::with_capacity(minutes as usize),
-            invoked_this_minute: false,
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
+            adjust: AdjustStage::with_horizon(self.trace.minutes()),
             flatten_scratch: FlattenScratch::default(),
         }
     }
@@ -936,14 +852,10 @@ pub struct RuntimeSession<'a> {
     policy: &'a mut dyn KeepAlivePolicy,
     fleet: FleetConfig,
     rs: RunState<'a>,
-    demand_history: Vec<f64>,
-    invoked_this_minute: bool,
-    /// Session-owned footprint buffer, kept in sync with the ledger's dirty
-    /// set each tick (no per-minute `Vec` churn on the hot path).
-    fp: MinuteFootprint,
-    /// Session-owned copy of the alive set handed to the policy (which may
-    /// mutate it arbitrarily while selecting victims).
-    alive_scratch: Vec<AliveModel>,
+    /// The adjust stage shared with the minute engine. Its footprint buffer
+    /// is kept in sync with the ledger's dirty set through the later tick
+    /// stages (no per-minute `Vec` churn on the hot path).
+    adjust: AdjustStage,
     /// Victim-heap scratch for the capacity enforcer. Pure scratch: carries
     /// no state across calls, so it is deliberately absent from checkpoints.
     flatten_scratch: FlattenScratch,
@@ -988,8 +900,8 @@ impl RuntimeSession<'_> {
     /// stream up front in `(minute, func, k)` order with
     /// [`arrival_times_in_minute`] timestamps reproduces the exact event
     /// sequence numbers of a trace-seeded run, which is what makes the
-    /// simulated-clock serve mode bit-identical to
-    /// [`Runtime::run_with_cluster`] on the binned trace (with a request
+    /// simulated-clock serve mode bit-identical to a trace-seeded
+    /// [`Runtime::session`] run on the binned trace (with a request
     /// timeout configured, timeout timers interleave with later admissions
     /// instead of following the whole arrival block, so exact-tie ordering
     /// may differ there).
@@ -1059,9 +971,10 @@ impl RuntimeSession<'_> {
         Some((now, event))
     }
 
-    /// Drain any remaining events and return the summary
-    /// ([`Runtime::run_with_cluster`] without the loop already run).
-    pub fn finish(self) -> RuntimeSummary {
+    /// Drain any remaining events and return the summary: a session
+    /// stepped part-way and then finished ends exactly as an unstepped one.
+    pub fn finish(mut self) -> RuntimeSummary {
+        while self.step().is_some() {}
         let mut summary = self.rs.summary;
         summary.records = self.rs.records;
         summary.node_summaries = self
@@ -1131,52 +1044,14 @@ impl RuntimeSession<'_> {
     /// Tick stage 2: the policy's cross-function adjustment against the
     /// schedule demand, applied to this minute of the ledger only.
     fn stage_adjust(&mut self, minute: u64) {
-        let invoked_last_minute = std::mem::take(&mut self.invoked_this_minute);
-        self.rs
-            .ledger
-            .fill_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        self.alive_scratch.clone_from(&self.fp.alive);
-        let kam = self.fp.total_mb;
-        let first_minute = begins_keepalive_period(invoked_last_minute, kam, &self.demand_history);
-        let actions = self.policy.adjust_minute(
+        let requested = self.adjust.run(
             minute,
-            &self.demand_history,
-            first_minute,
-            kam,
-            &mut self.alive_scratch,
+            &self.rt.families,
+            &mut self.rs.ledger,
+            &mut *self.policy,
+            &mut self.rs.sink,
         );
-        self.demand_history.push(kam);
-        self.rs.summary.downgrades += actions.len() as u64;
-        // Apply action-by-action (the exact loop `apply_actions` runs) so
-        // each one's applied/ignored outcome can be reported.
-        let mut applied = 0usize;
-        for a in &actions {
-            let moved = self.rs.ledger.apply_action(minute, a);
-            applied += usize::from(moved);
-            emit(&mut self.rs.sink, || match *a {
-                DowngradeAction::Downgrade { func, from, to } => ObsEvent::Downgrade {
-                    minute,
-                    func,
-                    from,
-                    to,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-                DowngradeAction::Evict { func, from } => ObsEvent::Evict {
-                    minute,
-                    func,
-                    from,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-            });
-        }
-        emit(&mut self.rs.sink, || ObsEvent::Adjust {
-            minute,
-            requested: actions.len(),
-            applied,
-            keepalive_mb: kam,
-        });
+        self.rs.summary.downgrades += requested as u64;
     }
 
     /// Tick stage 3 (fleet): account downtime and move scheduled functions
@@ -1231,10 +1106,11 @@ impl RuntimeSession<'_> {
         // node-health stages dirtied, then detach it so the loop below can
         // borrow `self.rs` mutably (migrations never touch the ledger, so
         // the snapshot stays valid for the whole stage).
+        let fp = self.adjust.footprint_mut();
         self.rs
             .ledger
-            .patch_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        let footprint = std::mem::take(&mut self.fp);
+            .patch_minute_footprint(&self.rt.families, minute, fp);
+        let footprint = std::mem::take(fp);
         let pause = self.fleet.migration.pause_ms;
         for k in 0..self.rs.nodes.len() {
             let Some(cap) = self.rs.nodes[k].spec.capacity.keepalive_mb else {
@@ -1301,7 +1177,7 @@ impl RuntimeSession<'_> {
                 });
             }
         }
-        self.fp = footprint;
+        *self.adjust.footprint_mut() = footprint;
     }
 
     /// Tick stage 5: per-node capacity enforcement — when a node's
@@ -1322,10 +1198,11 @@ impl RuntimeSession<'_> {
         // Catch up on any dirt left by the earlier stages (policy actions,
         // node-loss evictions); rebalance migrations never touch the ledger,
         // so after this patch the footprint is exactly this minute's plan.
+        let fp = self.adjust.footprint_mut();
         self.rs
             .ledger
-            .patch_minute_footprint(&self.rt.families, minute, &mut self.fp);
-        let footprint = std::mem::take(&mut self.fp);
+            .patch_minute_footprint(&self.rt.families, minute, fp);
+        let footprint = std::mem::take(fp);
         let mut pressured = false;
         // Nodes partition functions, so flattening node k's plan never
         // touches a model counted for node k+1 — the shared footprint
@@ -1364,7 +1241,7 @@ impl RuntimeSession<'_> {
             );
             self.apply_pressure_actions(minute, &outcome.actions);
         }
-        self.fp = footprint;
+        *self.adjust.footprint_mut() = footprint;
         if pressured {
             self.rs.summary.pressure_minutes += 1;
         }
@@ -1544,7 +1421,7 @@ impl RuntimeSession<'_> {
             }
         }
 
-        self.invoked_this_minute = true;
+        self.adjust.mark_invoked();
         emit(&mut rs.sink, || ObsEvent::Arrival {
             at_ms: now,
             func,
@@ -1966,7 +1843,7 @@ mod tests {
     }
 
     #[test]
-    fn none_plan_is_bit_identical_to_plain_run() {
+    fn zero_rate_plan_is_bit_identical_to_plain_run() {
         let trace = pulse_trace::synth::azure_like_12_with_horizon(31, 240);
         let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
         let rt = Runtime::new(
@@ -1978,10 +1855,14 @@ mod tests {
             },
         );
         let plain = rt.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
-        let faulted = rt.run_with_faults(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &FaultPlan::none(),
-        );
+        // A seeded plan whose rates are all zero draws nothing.
+        let faulted = rt
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &FaultPlan::uniform(0.0, 0.0, 0.0, 99),
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(plain.records, faulted.records);
         assert_eq!(plain.keepalive_cost_usd, faulted.keepalive_cost_usd);
         assert_eq!(faulted.provision_failures, 0);
@@ -2009,7 +1890,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 1);
         assert_eq!(s.failed_requests(), 0, "one rung down, not failed");
         // Every cycle at the faulty top rung is 1 initial attempt + 2
@@ -2044,7 +1931,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 2);
         assert_eq!(s.failed_requests(), 2, "no rung could provision");
         assert!(s.reaped >= 1);
@@ -2060,7 +1953,13 @@ mod tests {
         // past the budget; use a seeded intermediate rate instead.
         let plan = FaultPlan::uniform(0.0, 0.0, 0.5, 11);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.requests(), 1);
         // Either it crashed (and retried) or it ran clean — both must leave
         // coherent accounting.
@@ -2076,7 +1975,13 @@ mod tests {
         // bert cold start is seconds; a 10 ms budget must time out.
         let plan = FaultPlan::none().with_timeout_ms(10);
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let s = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.failed_requests(), 1);
         assert_eq!(s.records[0].latency_ms(), 10);
@@ -2097,11 +2002,9 @@ mod tests {
             capacity: NodeCapacity::mb(cap),
             ..ClusterConfig::unlimited()
         };
-        let s = rt.run_with_cluster(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &cluster,
-        );
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), cluster)
+            .finish();
         for (t, &mb) in s.memory_at_tick_mb.iter().enumerate() {
             assert!(mb <= cap + 1e-9, "minute {t}: {mb} MB over cap {cap}");
         }
@@ -2135,14 +2038,19 @@ mod tests {
             admission: AdmissionControl::bounded(8),
             ..ClusterConfig::unlimited()
         };
-        let s = rt.run_with_cluster(
-            &mut OpenWhiskFixed::new(&fams),
-            &FaultPlan::none(),
-            &cluster,
-        );
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), cluster)
+            .finish();
         assert!(s.shed_requests > 0, "burst must overflow an 8-deep backlog");
         assert_eq!(s.failed_requests(), s.shed_requests);
         assert!(s.availability() < 1.0);
+        // A shed request is a failure, not a cold start: only the first
+        // arrival cold-starts, and every request has exactly one outcome.
+        assert_eq!(s.cold_starts(), 1);
+        assert_eq!(
+            s.warm_starts() + s.cold_starts() + s.failed_requests(),
+            s.requests()
+        );
         let shed_events = s
             .ops_events
             .iter()
@@ -2157,8 +2065,8 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_cluster_is_bit_identical_to_run_with_faults() {
-        use crate::cluster::ClusterConfig;
+    fn non_binding_cluster_is_bit_identical_to_unlimited() {
+        use crate::cluster::{AdmissionControl, ClusterConfig, NodeCapacity};
         let trace = pulse_trace::synth::azure_like_12_with_horizon(43, 240);
         let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
         let rt = Runtime::new(
@@ -2170,15 +2078,27 @@ mod tests {
             },
         );
         let plan = FaultPlan::uniform(0.2, 0.1, 0.05, 17).with_timeout_ms(120_000);
-        let a = rt.run_with_faults(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &plan,
-        );
-        let b = rt.run_with_cluster(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &plan,
-            &ClusterConfig::unlimited(),
-        );
+        let a = rt
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
+        // A finite cap and admission bound that never bind: enforcement and
+        // admission run every tick and arrival but must change nothing.
+        let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
+        let roomy = ClusterConfig {
+            capacity: NodeCapacity::mb(all_high * 2.0),
+            admission: AdmissionControl::bounded(1 << 30),
+        };
+        let b = rt
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &plan,
+                roomy,
+            )
+            .finish();
         assert_eq!(a.records, b.records);
         assert_eq!(
             a.keepalive_cost_usd.to_bits(),
@@ -2226,7 +2146,9 @@ mod tests {
             ..WatchdogConfig::default()
         };
         let mut wd = Watchdog::new(NeverKeep, &fams, cfg);
-        let s = rt.run_with_cluster(&mut wd, &FaultPlan::none(), &ClusterConfig::unlimited());
+        let s = rt
+            .session(&mut wd, &FaultPlan::none(), ClusterConfig::unlimited())
+            .finish();
         assert!(
             s.fallback_minutes > 0,
             "sustained cold storm must fall back"
@@ -2275,6 +2197,16 @@ mod tests {
             whole.keepalive_cost_usd.to_bits()
         );
         assert_eq!(stepped.downgrades, whole.downgrades);
+
+        // Stepped half-way, then finished: `finish` drains the rest.
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let mut half = rt.session(&mut policy, &FaultPlan::none(), ClusterConfig::unlimited());
+        for _ in 0..half.pending_events() / 2 {
+            half.step();
+        }
+        assert!(half.pending_events() > 0);
+        let half = half.finish();
+        assert_eq!(format!("{half:?}"), format!("{whole:?}"));
     }
 
     #[test]
@@ -2303,12 +2235,14 @@ mod tests {
             ..ClusterConfig::unlimited()
         };
         let mut mem = MemorySink::new();
-        let s = rt.run_with_cluster_traced(
-            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-            &FaultPlan::none(),
-            &cluster,
-            &mut mem,
-        );
+        let s = rt
+            .session_traced(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &FaultPlan::none(),
+                cluster,
+                &mut mem,
+            )
+            .finish();
         // Downgrade/eviction event counts equal the summary counters, per
         // source: policy actions → `downgrades`, pressure actions →
         // `pressure_downgrades` / `evictions`.
@@ -2374,8 +2308,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        let a = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
-        let b = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+        let a = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
+        let b = rt
+            .session(
+                &mut OpenWhiskFixed::new(&fams),
+                &plan,
+                ClusterConfig::unlimited(),
+            )
+            .finish();
         assert_eq!(a.records, b.records);
         assert_eq!(a.provision_failures, b.provision_failures);
         assert_eq!(a.provision_retries, b.provision_retries);
@@ -2433,7 +2379,6 @@ mod tests {
                 }
             }
         }
-        while session.step().is_some() {}
         let admitted = session.finish();
         assert_eq!(admitted.records, seeded.records);
         assert_eq!(
@@ -2453,7 +2398,6 @@ mod tests {
         let before = session.pending_events();
         session.admit_at(1, 0);
         assert_eq!(session.pending_events(), before + 2, "arrival + timeout");
-        while session.step().is_some() {}
         let s = session.finish();
         // A cold start cannot finish inside a 10 ms budget.
         assert_eq!(s.timeouts, 1);
@@ -2508,7 +2452,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s = rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &plan, &fleet);
+        let s = rt
+            .session(&mut OpenWhiskFixed::new(&fams), &plan, fleet.clone())
+            .finish();
         assert_eq!(s.requests(), 40);
         assert!(s.exec_crashes > 0, "executions crashed before the node did");
         assert!(

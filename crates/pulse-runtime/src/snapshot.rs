@@ -6,7 +6,7 @@
 //! cursors of both the duration sampler and the fault injector, per-node
 //! fleet state, accumulated summary counters and the policy's learned state
 //! — as a versioned multi-line flat-record document.
-//! [`Runtime::restore_fleet_session`] rebuilds a session from it such that
+//! [`Runtime::restore_session`] rebuilds a session from it such that
 //! stepping the restored session to completion is **bit-identical** to the
 //! uninterrupted run, for any kill point.
 //!
@@ -26,9 +26,10 @@ use crate::metrics::{RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth};
 use pulse_core::global::FlattenScratch;
 use pulse_core::priority::PriorityStructure;
-use pulse_core::schedule::{MinuteFootprint, ScheduleLedger};
+use pulse_core::schedule::ScheduleLedger;
 use pulse_models::Profiler;
 use pulse_obs::{Record, RecordBuilder, TraceSink};
+use pulse_sim::adjust::AdjustStage;
 use pulse_sim::policy::KeepAlivePolicy;
 use pulse_sim::recover::{
     check_fingerprint, decode_ledger_row, encode_ledger, fingerprint_of, RecoverError,
@@ -330,7 +331,7 @@ fn decode_summary(rec: &Record) -> Result<RuntimeSummary, RecoverError> {
 
 impl RuntimeSession<'_> {
     /// Capture the full resumable state of this run as a versioned snapshot
-    /// document. Restoring it with [`Runtime::restore_fleet_session`] (same
+    /// document. Restoring it with [`Runtime::restore_session`] (same
     /// workload/plan/fleet, a fresh same-seeded policy) and stepping to
     /// completion is bit-identical to never having stopped — counters, cost,
     /// per-request records, ops events and the emitted observability stream
@@ -345,14 +346,16 @@ impl RuntimeSession<'_> {
                     policy: self.policy.name().to_string(),
                 })?;
         let rs = &self.rs;
-        let mut doc = RecordBuilder::new("snapshot")
+        let head = RecordBuilder::new("snapshot")
             .u64("version", SNAPSHOT_VERSION)
             .str("engine", "rt")
             .u64("workload", self.rt.workload_fingerprint())
             .u64("plan", fingerprint_of(rs.injector.plan()))
             .u64("fleet", fingerprint_of(&self.fleet))
-            .str("policy", self.policy.name())
-            .bool("invoked", self.invoked_this_minute)
+            .str("policy", self.policy.name());
+        let mut doc = self
+            .adjust
+            .encode_header(head)
             .bool("fallback", rs.prev_fallback)
             .u64("minute_requests", rs.minute_requests)
             .u64("minute_violations", rs.minute_violations)
@@ -380,12 +383,7 @@ impl RuntimeSession<'_> {
             &mut doc,
             RecordBuilder::new("policy").str("state", &state).finish(),
         );
-        push(
-            &mut doc,
-            RecordBuilder::new("demand")
-                .f64_list("history", &self.demand_history)
-                .finish(),
-        );
+        push(&mut doc, self.adjust.demand_row());
         push(&mut doc, summary_row(&rs.summary));
 
         let (mut code, mut oa, mut ob, mut oc, mut od, mut ox) = (
@@ -566,35 +564,35 @@ impl Runtime {
         fingerprint_of(&(&self.trace, &self.families, &self.config))
     }
 
-    /// Resume a fleet run killed after [`RuntimeSession::snapshot`]: rebuild
-    /// the session so that stepping it to completion is bit-identical to the
-    /// uninterrupted run. `plan` and `fleet` must equal the snapshotted
+    /// Resume a run killed after [`RuntimeSession::snapshot`]: rebuild the
+    /// session so that finishing it is bit-identical to the uninterrupted
+    /// run. `plan` and `topology` must equal the snapshotted
     /// configuration (checked by fingerprint) and `policy` must be freshly
     /// constructed with the same arguments; its learned state is re-injected
     /// through [`KeepAlivePolicy::restore_state`]. Fails soft with a typed
     /// [`RecoverError`] on skew, corruption, or any mismatch.
-    pub fn restore_fleet_session<'a>(
+    pub fn restore_session<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        fleet: FleetConfig,
+        topology: impl Into<FleetConfig>,
         snapshot: &str,
     ) -> Result<RuntimeSession<'a>, RecoverError> {
-        self.restore_impl(policy, plan, fleet, snapshot, None)
+        self.restore_impl(policy, plan, topology.into(), snapshot, None)
     }
 
-    /// [`Self::restore_fleet_session`] with a [`TraceSink`] attached: events
+    /// [`Self::restore_session`] with a [`TraceSink`] attached: events
     /// re-emitted by the resumed run continue the stream exactly where the
     /// killed run's journal left off.
-    pub fn restore_fleet_session_traced<'a>(
+    pub fn restore_session_traced<'a>(
         &'a self,
         policy: &'a mut dyn KeepAlivePolicy,
         plan: &FaultPlan,
-        fleet: FleetConfig,
+        topology: impl Into<FleetConfig>,
         snapshot: &str,
         sink: &'a mut dyn TraceSink,
     ) -> Result<RuntimeSession<'a>, RecoverError> {
-        self.restore_impl(policy, plan, fleet, snapshot, Some(sink))
+        self.restore_impl(policy, plan, topology.into(), snapshot, Some(sink))
     }
 
     fn restore_impl<'a>(
@@ -690,7 +688,7 @@ impl Runtime {
                     injector = Some(FaultInjector::from_state(plan, words));
                 }
                 "policy" => policy_state = Some(rec.str("state").map_err(c)?.to_string()),
-                "demand" => demand_history = Some(rec.f64_list("history").map_err(c)?),
+                "demand" => demand_history = Some(AdjustStage::decode_demand_row(&rec)?),
                 "summary" => summary = Some(decode_summary(&rec)?),
                 "ops" => {
                     let code = rec.u64_list("code").map_err(c)?;
@@ -797,8 +795,7 @@ impl Runtime {
             injector.ok_or_else(|| RecoverError::corrupt("snapshot lacks an rng row"))?;
         let state =
             policy_state.ok_or_else(|| RecoverError::corrupt("snapshot lacks a policy row"))?;
-        let demand_history =
-            demand_history.ok_or_else(|| RecoverError::corrupt("snapshot lacks a demand row"))?;
+        let adjust = AdjustStage::restore(&head, demand_history)?;
         let mut summary =
             summary.ok_or_else(|| RecoverError::corrupt("snapshot lacks a summary row"))?;
         summary.ops_events =
@@ -923,10 +920,7 @@ impl Runtime {
             policy,
             fleet,
             rs,
-            demand_history,
-            invoked_this_minute: head.bool("invoked").map_err(c)?,
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
+            adjust,
             flatten_scratch: FlattenScratch::default(),
         })
     }
@@ -976,10 +970,10 @@ mod tests {
     fn kill_restore_resume_is_bit_identical_under_fleet_faults() {
         let (rt, fams, plan, fleet) = fixture();
         let mut whole_policy = pulse(&fams);
-        let whole = rt.run_with_fleet(&mut whole_policy, &plan, &fleet);
+        let whole = rt.session(&mut whole_policy, &plan, fleet.clone()).finish();
 
         let mut probe_policy = pulse(&fams);
-        let mut probe = rt.fleet_session(&mut probe_policy, &plan, fleet.clone());
+        let mut probe = rt.session(&mut probe_policy, &plan, fleet.clone());
         let mut total = 0usize;
         while probe.step().is_some() {
             total += 1;
@@ -988,7 +982,7 @@ mod tests {
 
         for kill_after in [total / 7, (total * 4) / 5] {
             let mut p1 = pulse(&fams);
-            let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+            let mut sess = rt.session(&mut p1, &plan, fleet.clone());
             for _ in 0..kill_after {
                 assert!(sess.step().is_some(), "kill point beyond the run");
             }
@@ -996,10 +990,9 @@ mod tests {
             drop(sess);
 
             let mut p2 = pulse(&fams);
-            let mut resumed = rt
-                .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
+            let resumed = rt
+                .restore_session(&mut p2, &plan, fleet.clone(), &snap)
                 .unwrap();
-            while resumed.step().is_some() {}
             let resumed = resumed.finish();
             assert_eq!(
                 whole.keepalive_cost_usd.to_bits(),
@@ -1018,7 +1011,7 @@ mod tests {
     fn restore_fails_soft_on_skew_mismatch_and_garbage() {
         let (rt, fams, plan, fleet) = fixture();
         let mut p = pulse(&fams);
-        let mut sess = rt.fleet_session(&mut p, &plan, fleet.clone());
+        let mut sess = rt.session(&mut p, &plan, fleet.clone());
         for _ in 0..200 {
             sess.step();
         }
@@ -1028,34 +1021,34 @@ mod tests {
         let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
         let mut p2 = pulse(&fams);
         assert!(matches!(
-            rt.restore_fleet_session(&mut p2, &plan, fleet.clone(), &skewed),
+            rt.restore_session(&mut p2, &plan, fleet.clone(), &skewed),
             Err(RecoverError::VersionSkew { found: 9, .. })
         ));
 
         let mut other = OpenWhiskFixed::new(&fams);
         assert!(matches!(
-            rt.restore_fleet_session(&mut other, &plan, fleet.clone(), &snap),
+            rt.restore_session(&mut other, &plan, fleet.clone(), &snap),
             Err(RecoverError::PolicyMismatch { .. })
         ));
 
         let mut p3 = pulse(&fams);
         let other_plan = FaultPlan::uniform(0.05, 0.05, 0.03, 43);
         assert!(matches!(
-            rt.restore_fleet_session(&mut p3, &other_plan, fleet.clone(), &snap),
+            rt.restore_session(&mut p3, &other_plan, fleet.clone(), &snap),
             Err(RecoverError::ConfigMismatch { what: "plan", .. })
         ));
 
         let mut p4 = pulse(&fams);
         let other_fleet = FleetConfig::uniform(2, NodeCapacity::gb(6.0));
         assert!(matches!(
-            rt.restore_fleet_session(&mut p4, &plan, other_fleet, &snap),
+            rt.restore_session(&mut p4, &plan, other_fleet, &snap),
             Err(RecoverError::ConfigMismatch { what: "fleet", .. })
         ));
 
         for garbage in ["", "nonsense", "{\"type\":\"snapshot\"}"] {
             let mut p5 = pulse(&fams);
             assert!(
-                rt.restore_fleet_session(&mut p5, &plan, fleet.clone(), garbage)
+                rt.restore_session(&mut p5, &plan, fleet.clone(), garbage)
                     .is_err(),
                 "garbage {garbage:?} must fail soft"
             );

@@ -14,7 +14,8 @@
 //!
 //! Two clocks, two modes. [`replay`] drives the session on the *simulated*
 //! clock only — no wall time touches any decision, which is what makes it
-//! bit-identical to [`Runtime::run_with_cluster`] on the binned trace (the
+//! bit-identical to a trace-seeded [`Runtime::session`] run on the binned
+//! trace (the
 //! determinism suite pins this). [`serve_live`] maps wall time onto the
 //! virtual timeline (optionally scaled), so minute ticks — and therefore
 //! keep-alive decisions — happen *online*, while requests race in through
@@ -133,7 +134,7 @@ fn zero_trace_like(trace: &Trace) -> Trace {
 
 /// Serve `stream` on the simulated clock: admit the whole stream up front
 /// in canonical order, then drain the session. Bit-identical to
-/// [`Runtime::run_with_cluster`] over [`ArrivalStream::trace`] with the
+/// a trace-seeded [`Runtime::session`] run over [`ArrivalStream::trace`] with the
 /// same policy and configuration (pinned in the determinism suite). With a
 /// sink attached, the *engine* events are traced, exactly as a
 /// `session_traced` replay would — no serve telemetry is interleaved.
@@ -152,7 +153,6 @@ pub fn replay(
     for a in stream.arrivals() {
         session.admit_at(a.at_ms, a.func);
     }
-    while session.step().is_some() {}
     session.finish()
 }
 

@@ -1,7 +1,7 @@
 //! The serving determinism suite: bit-identical load generation across
 //! seeds, and the pinned serve-vs-replay equivalence — feeding a generated
 //! stream through pulse-serve on the simulated clock must match
-//! `Runtime::run_with_cluster` over the binned trace bitwise.
+//! a trace-seeded `Runtime::session` run over the binned trace bitwise.
 
 use pulse_core::types::PulseConfig;
 use pulse_obs::{MemorySink, ObsEvent};
@@ -53,10 +53,11 @@ fn different_seeds_mean_different_streams() {
 }
 
 /// The pinned tentpole contract: simulated-clock serving of a generated
-/// stream is bitwise-identical to `run_with_cluster` on the binned trace —
+/// stream is bitwise-identical to a trace-seeded `Runtime::session` run on
+/// the binned trace —
 /// per-request records, keep-alive cost bits, and the billed memory series.
 #[test]
-fn replay_matches_run_with_cluster_bitwise() {
+fn replay_matches_batch_session_bitwise() {
     for mode in MODES {
         let stream = ArrivalStream::generate(&cfg(mode, 9));
         let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
@@ -67,7 +68,9 @@ fn replay_matches_run_with_cluster_bitwise() {
 
         let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
         let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-        let batch = rt.run_with_cluster(&mut batch_policy, &config.plan, &config.cluster);
+        let batch = rt
+            .session(&mut batch_policy, &config.plan, config.cluster)
+            .finish();
 
         assert_eq!(served.records, batch.records, "{}", mode.label());
         assert_eq!(
@@ -94,7 +97,7 @@ fn replay_matches_run_with_cluster_bitwise() {
 /// The equivalence holds for the fixed-keep-alive baseline policy too — the
 /// contract is engine-level, not an artifact of one policy.
 #[test]
-fn replay_matches_run_with_cluster_for_fixed_policy() {
+fn replay_matches_batch_session_for_fixed_policy() {
     let stream = ArrivalStream::generate(&cfg(MODES[2], 17));
     let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
     let config = ServeConfig::default();
@@ -104,7 +107,9 @@ fn replay_matches_run_with_cluster_for_fixed_policy() {
 
     let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
     let mut batch_policy = OpenWhiskFixed::new(&families);
-    let batch = rt.run_with_cluster(&mut batch_policy, &config.plan, &config.cluster);
+    let batch = rt
+        .session(&mut batch_policy, &config.plan, config.cluster)
+        .finish();
 
     assert_eq!(served.records, batch.records);
     assert_eq!(
@@ -134,13 +139,12 @@ fn traced_replay_matches_traced_batch_run() {
     let mut batch_sink = MemorySink::new();
     let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
     let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-    let mut session = rt.session_traced(
+    let session = rt.session_traced(
         &mut batch_policy,
         &config.plan,
         config.cluster,
         &mut batch_sink,
     );
-    while session.step().is_some() {}
     let _ = session.finish();
 
     assert!(!serve_sink.events().is_empty());

@@ -13,17 +13,17 @@
 //! other work (live dashboards, co-simulation, the cross-engine equivalence
 //! tests).
 
+use crate::adjust::AdjustStage;
 use crate::metrics::RunMetrics;
 use crate::policy::KeepAlivePolicy;
 use crate::recover::{
     check_fingerprint, decode_ledger_row, decode_metrics, encode_ledger, encode_metrics,
     fingerprint_of, RecoverError, SNAPSHOT_VERSION,
 };
-use pulse_core::global::{AliveModel, DowngradeAction};
-use pulse_core::schedule::{begins_keepalive_period, MinuteFootprint, ScheduleLedger};
+use pulse_core::schedule::ScheduleLedger;
 use pulse_core::types::Minute;
 use pulse_models::{CostModel, ModelFamily};
-use pulse_obs::{emit, ActionSource, ObsEvent, Record, RecordBuilder, TraceSink};
+use pulse_obs::{emit, ObsEvent, Record, RecordBuilder, TraceSink};
 use pulse_trace::Trace;
 
 /// Trace-driven serverless platform simulator.
@@ -66,9 +66,9 @@ impl Simulator {
     }
 
     /// Begin a steppable run of `policy` over the trace. Call
-    /// [`SimSession::step_minute`] until it returns `None` (or stop early),
-    /// then [`SimSession::finish`] for the metrics; [`Self::run`] is exactly
-    /// this loop.
+    /// [`SimSession::step_minute`] as far as needed, then
+    /// [`SimSession::finish`], which steps the rest and returns the metrics;
+    /// [`Self::run`] is `session(policy).finish()`.
     pub fn session<'a>(&'a self, policy: &'a mut dyn KeepAlivePolicy) -> SimSession<'a> {
         self.session_impl(policy, None)
     }
@@ -97,10 +97,7 @@ impl Simulator {
             metrics: RunMetrics::new(policy.name(), minutes),
             policy,
             ledger: ScheduleLedger::for_families(&self.families),
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
-            demand_history: Vec::with_capacity(minutes),
-            invoked_last_minute: false,
+            adjust: AdjustStage::with_horizon(minutes),
             next: 0,
             minutes: minutes as Minute,
             sink,
@@ -110,9 +107,7 @@ impl Simulator {
 
     /// Run the policy over the whole trace.
     pub fn run(&self, policy: &mut dyn KeepAlivePolicy) -> RunMetrics {
-        let mut session = self.session(policy);
-        while session.step_minute().is_some() {}
-        session.finish()
+        self.session(policy).finish()
     }
 
     /// [`Self::run`] with a [`TraceSink`] attached (see
@@ -122,9 +117,7 @@ impl Simulator {
         policy: &mut dyn KeepAlivePolicy,
         sink: &mut dyn TraceSink,
     ) -> RunMetrics {
-        let mut session = self.session_traced(policy, sink);
-        while session.step_minute().is_some() {}
-        session.finish()
+        self.session_traced(policy, sink).finish()
     }
 
     /// Fingerprint of this simulator's workload identity (trace + families
@@ -213,9 +206,7 @@ impl Simulator {
             let rec = Record::parse(line).map_err(c)?;
             match rec.kind() {
                 "metrics" => metrics = Some(decode_metrics(&rec)?),
-                "demand" => {
-                    demand_history = Some(rec.f64_list("history").map_err(c)?);
-                }
+                "demand" => demand_history = Some(AdjustStage::decode_demand_row(&rec)?),
                 "policy" => policy_state = Some(rec.str("state").map_err(c)?.to_string()),
                 "sched" => decode_ledger_row(&mut ledger, &rec)?,
                 other => {
@@ -227,8 +218,7 @@ impl Simulator {
         }
         let metrics =
             metrics.ok_or_else(|| RecoverError::corrupt("snapshot lacks a metrics row"))?;
-        let demand_history =
-            demand_history.ok_or_else(|| RecoverError::corrupt("snapshot lacks a demand row"))?;
+        let adjust = AdjustStage::restore(&head, demand_history)?;
         let state =
             policy_state.ok_or_else(|| RecoverError::corrupt("snapshot lacks a policy row"))?;
         policy
@@ -240,10 +230,7 @@ impl Simulator {
             policy,
             metrics,
             ledger,
-            fp: MinuteFootprint::default(),
-            alive_scratch: Vec::new(),
-            demand_history,
-            invoked_last_minute: head.bool("invoked").map_err(c)?,
+            adjust,
             next: head.u64("next").map_err(c)?,
             minutes: self.trace.minutes() as Minute,
             sink,
@@ -260,20 +247,7 @@ pub struct SimSession<'a> {
     policy: &'a mut dyn KeepAlivePolicy,
     metrics: RunMetrics,
     ledger: ScheduleLedger,
-    /// Session-owned footprint buffer, refilled in place each minute by
-    /// [`ScheduleLedger::fill_minute_footprint`] (no per-minute Vec churn).
-    fp: MinuteFootprint,
-    /// Session-owned copy of the alive set handed to the policy (which may
-    /// mutate it arbitrarily while selecting victims).
-    alive_scratch: Vec<AliveModel>,
-    // `demand_history` records what the schedules *asked* to keep alive each
-    // minute (pre-adjustment) and drives the policy's peak detection —
-    // feeding post-flattening values back into the prior would drag the
-    // detector's baseline into a death spiral (every flatten lowers the
-    // prior, which makes the next minute a "peak" again). What was actually
-    // kept alive (post-adjustment) drives billing and the reported series.
-    demand_history: Vec<f64>,
-    invoked_last_minute: bool,
+    adjust: AdjustStage,
     next: Minute,
     minutes: Minute,
     /// Attached observer, if any. Disabled/absent sinks cost one branch per
@@ -320,7 +294,8 @@ impl SimSession<'_> {
     }
 
     /// Drive the run to completion and return the metrics ([`Simulator::run`]).
-    pub fn finish(self) -> RunMetrics {
+    pub fn finish(mut self) -> RunMetrics {
+        while self.step_minute().is_some() {}
         self.metrics
     }
 
@@ -337,23 +312,21 @@ impl SimSession<'_> {
                 .ok_or_else(|| RecoverError::NotCheckpointable {
                     policy: self.policy.name().to_string(),
                 })?;
-        let mut doc = RecordBuilder::new("snapshot")
+        let head = RecordBuilder::new("snapshot")
             .u64("version", SNAPSHOT_VERSION)
             .str("engine", "sim")
             .u64("workload", self.sim.workload_fingerprint())
             .str("policy", self.policy.name())
-            .u64("next", self.next)
-            .bool("invoked", self.invoked_last_minute)
+            .u64("next", self.next);
+        let mut doc = self
+            .adjust
+            .encode_header(head)
             .bool("fallback", self.prev_fallback)
             .finish();
         doc.push('\n');
         doc.push_str(&encode_metrics(&self.metrics));
         doc.push('\n');
-        doc.push_str(
-            &RecordBuilder::new("demand")
-                .f64_list("history", &self.demand_history)
-                .finish(),
-        );
+        doc.push_str(&self.adjust.demand_row());
         doc.push('\n');
         doc.push_str(&RecordBuilder::new("policy").str("state", &state).finish());
         encode_ledger(&mut doc, &self.ledger);
@@ -366,53 +339,16 @@ impl SimSession<'_> {
     /// produced by invocations at `t` begin at `t + 1`, and cold-start
     /// execution memory is in-use, not keep-alive.)
     fn stage_adjust(&mut self, t: Minute) -> f64 {
-        self.ledger
-            .fill_minute_footprint(&self.sim.families, t, &mut self.fp);
-        self.alive_scratch.clone_from(&self.fp.alive);
-        let current_kam = self.fp.total_mb;
-        let first_minute =
-            begins_keepalive_period(self.invoked_last_minute, current_kam, &self.demand_history);
-        let actions = self.policy.adjust_minute(
+        let requested = self.adjust.run(
             t,
-            &self.demand_history,
-            first_minute,
-            current_kam,
-            &mut self.alive_scratch,
+            &self.sim.families,
+            &mut self.ledger,
+            &mut *self.policy,
+            &mut self.sink,
         );
-        self.demand_history.push(current_kam);
-        self.metrics.downgrades += actions.len() as u64;
-        // Apply action-by-action (the exact loop `apply_actions` runs) so
-        // each one's applied/ignored outcome can be reported.
-        let mut applied = 0usize;
-        for a in &actions {
-            let moved = self.ledger.apply_action(t, a);
-            applied += usize::from(moved);
-            emit(&mut self.sink, || match *a {
-                DowngradeAction::Downgrade { func, from, to } => ObsEvent::Downgrade {
-                    minute: t,
-                    func,
-                    from,
-                    to,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-                DowngradeAction::Evict { func, from } => ObsEvent::Evict {
-                    minute: t,
-                    func,
-                    from,
-                    source: ActionSource::Policy,
-                    applied: moved,
-                },
-            });
-        }
-        emit(&mut self.sink, || ObsEvent::Adjust {
-            minute: t,
-            requested: actions.len(),
-            applied,
-            keepalive_mb: current_kam,
-        });
+        self.metrics.downgrades += requested as u64;
         // Post-action re-meter: the incremental pin re-sums only this
-        // minute's (mutated) alive set, bit-identical to the legacy
+        // minute's (mutated) alive set, bit-identical to the
         // `keep_alive_mb_at` full sweep.
         self.ledger.metered_kam_mb(&self.sim.families, t)
     }
@@ -422,7 +358,6 @@ impl SimSession<'_> {
     /// followers reuse it warm), and every invoked function gets a fresh
     /// schedule. Returns `(requests, cold starts)` for the minute.
     fn stage_serve(&mut self, t: Minute) -> (u64, u64) {
-        self.invoked_last_minute = false;
         let mut minute_requests = 0u64;
         let mut minute_cold = 0u64;
         for f in 0..self.sim.families.len() {
@@ -430,7 +365,7 @@ impl SimSession<'_> {
             if count == 0 {
                 continue;
             }
-            self.invoked_last_minute = true;
+            self.adjust.mark_invoked();
             minute_requests += count;
             let fam = &self.sim.families[f];
             let alive = self.ledger.alive_variant_at(f, t);
@@ -741,6 +676,16 @@ mod tests {
         assert_eq!(stepped.warm_starts, whole.warm_starts);
         assert_eq!(stepped.downgrades, whole.downgrades);
         assert_eq!(stepped.memory_series_mb, whole.memory_series_mb);
+
+        // Stepped half-way, then finished: `finish` drives the rest.
+        let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
+        let mut half = sim.session(&mut policy);
+        for _ in 0..seen / 2 {
+            half.step_minute();
+        }
+        assert_eq!(half.next_minute(), seen / 2);
+        let half = half.finish();
+        assert_eq!(format!("{half:?}"), format!("{whole:?}"));
     }
 
     #[test]
@@ -829,9 +774,8 @@ mod tests {
         drop(session); // the "kill"
 
         let mut fresh = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        let mut resumed = sim.restore_session(&mut fresh, &snap).unwrap();
+        let resumed = sim.restore_session(&mut fresh, &snap).unwrap();
         assert_eq!(resumed.next_minute(), 317);
-        while resumed.step_minute().is_some() {}
         let m = resumed.finish();
         assert_eq!(
             m.keepalive_cost_usd.to_bits(),

@@ -38,6 +38,8 @@
 //!   ideal oracle (Figure 6b), and PULSE itself (with and without the global
 //!   optimizer, for Figure 4);
 //! * [`engine`] — the minute loop;
+//! * [`adjust`] — the per-minute adjust stage (cross-function actions
+//!   applied to the ledger), shared with the event-driven runtime;
 //! * [`assignment`] — randomized model-to-function assignment (the paper's
 //!   1000-run methodology);
 //! * [`runner`] — a crossbeam-parallel many-run harness with streaming
@@ -49,6 +51,7 @@
 //!   ([`SimSession::snapshot`] / [`Simulator::restore_session`]) with typed
 //!   soft-failure errors, shared with the event-driven runtime.
 
+pub mod adjust;
 pub mod assignment;
 pub mod engine;
 pub mod metrics;

@@ -251,7 +251,8 @@ mod tests {
 
     #[test]
     fn ledger_round_trips_including_holes() {
-        let mut ledger = ScheduleLedger::new(3);
+        let fams = vec![pulse_models::zoo::gpt(); 3];
+        let mut ledger = ScheduleLedger::for_families(&fams);
         ledger.replace(0, KeepAliveSchedule::constant(5, 2, 10));
         ledger.replace(2, KeepAliveSchedule::constant(1, 0, 4));
         ledger.apply_eviction(0, 8);
@@ -259,7 +260,7 @@ mod tests {
 
         let mut doc = String::new();
         encode_ledger(&mut doc, &ledger);
-        let mut back = ScheduleLedger::new(3);
+        let mut back = ScheduleLedger::for_families(&fams);
         for line in doc.lines().filter(|l| !l.is_empty()) {
             let rec = Record::parse(line).map_err(RecoverError::corrupt).unwrap();
             assert_eq!(rec.kind(), "sched");
@@ -277,7 +278,8 @@ mod tests {
     fn ledger_row_out_of_range_is_typed() {
         let rec =
             Record::parse("{\"type\":\"sched\",\"func\":9,\"at\":0,\"slots\":\"1\"}").unwrap();
-        let mut ledger = ScheduleLedger::new(2);
+        let mut ledger =
+            ScheduleLedger::for_families(&[pulse_models::zoo::gpt(), pulse_models::zoo::bert()]);
         assert!(matches!(
             decode_ledger_row(&mut ledger, &rec),
             Err(RecoverError::Corrupt { .. })

@@ -256,10 +256,9 @@ proptest! {
         let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sess);
         let mut p2 = make();
-        let mut resumed = sim
+        let resumed = sim
             .restore_session(&mut p2, &snap)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        while resumed.step_minute().is_some() {}
         let resumed = resumed.finish();
         prop_assert_eq!(&whole, &resumed);
         prop_assert_eq!(
@@ -282,7 +281,7 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         use pulse::prelude::*;
-        use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+        use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
         let (trace, fams) = arb_workload(&counts);
         let rt = Runtime::new(
             trace,
@@ -293,13 +292,13 @@ proptest! {
             },
         );
         let plan = FaultPlan::uniform(prov, prov / 2.0, crash, fault_seed);
-        let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+        let topo = ClusterConfig::unlimited();
         let make = || PulsePolicy::new(fams.clone(), pulse::core::PulseConfig::default());
 
         let mut whole_p = make();
-        let whole = rt.run_with_fleet(&mut whole_p, &plan, &fleet);
+        let whole = rt.session(&mut whole_p, &plan, topo).finish();
         let mut p1 = make();
-        let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+        let mut sess = rt.session(&mut p1, &plan, topo);
         for _ in 0..kill_events {
             if sess.step().is_none() {
                 break;
@@ -308,10 +307,9 @@ proptest! {
         let snap = sess.snapshot().map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sess);
         let mut p2 = make();
-        let mut resumed = rt
-            .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
+        let resumed = rt
+            .restore_session(&mut p2, &plan, topo, &snap)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        while resumed.step().is_some() {}
         let resumed = resumed.finish();
         prop_assert_eq!(&whole.records, &resumed.records);
         prop_assert_eq!(format!("{whole:?}"), format!("{resumed:?}"));
@@ -329,7 +327,7 @@ proptest! {
         splice_bytes in proptest::collection::vec(32u8..127, 0..30),
     ) {
         use pulse::prelude::*;
-        use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+        use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
         let trace = Trace::new(vec![FunctionTrace::new("f", vec![1, 0, 2, 0, 1, 0, 0, 1])]);
         let fams = vec![zoo::bert()];
         let sim = Simulator::new(trace.clone(), fams.clone());
@@ -351,7 +349,7 @@ proptest! {
         let corrupted = format!("{}{}", &snap[..cut], splice);
 
         let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
-        let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+        let topo = ClusterConfig::unlimited();
         for doc in [garbage.as_str(), corrupted.as_str()] {
             // Either a typed error, or (for corruptions that happen to stay
             // well-formed, e.g. a truncation splicing into a valid prefix)
@@ -359,7 +357,7 @@ proptest! {
             let mut p = make();
             let _ = sim.restore_session(&mut p, doc);
             let mut p = make();
-            let _ = rt.restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), doc);
+            let _ = rt.restore_session(&mut p, &FaultPlan::none(), topo, doc);
         }
     }
 }
@@ -395,12 +393,10 @@ proptest! {
             KeepAliveSchedule::new(t, slots.map(Slot::into_raw).collect())
         };
 
-        // The same mutation stream drives an index-backed ledger and a
-        // plain one that only knows the legacy full sweep.
+        // The same mutation stream drives two ledgers: `inc` is read through
+        // its index, `full` only through the full sweep.
         let mut inc = ScheduleLedger::for_families(&fams);
-        let mut full = ScheduleLedger::new(fams.len());
-        prop_assert!(inc.is_incremental());
-        prop_assert!(!full.is_incremental());
+        let mut full = ScheduleLedger::for_families(&fams);
 
         for (f, &(t, v, holes)) in seeds.iter().enumerate().rev() {
             let s = plan(t, v % fams[f].n_variants(), holes);
@@ -442,7 +438,7 @@ proptest! {
 
             // Billing totals: bitwise equal at the mutated minute, a random
             // probe, and the patched minute (covers empty minutes, whose
-            // legacy sweep identity is -0.0).
+            // sweep identity is -0.0).
             for m in [t, t + 3, probe_minute, patched_minute] {
                 prop_assert_eq!(
                     inc.metered_kam_mb(&fams, m).to_bits(),
@@ -461,7 +457,7 @@ proptest! {
 
         // Retiring billed minutes must not change any answer: minutes past
         // the retirement point stay indexed, earlier ones fall back to the
-        // sweep — both bitwise equal to the plain ledger.
+        // sweep — both bitwise equal to the sweep-only ledger.
         inc.retire_minutes_before(probe_minute);
         for m in [0, probe_minute, probe_minute + 5] {
             prop_assert_eq!(

@@ -156,10 +156,9 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
             drop(sess);
 
             let mut p2 = make();
-            let mut resumed = sim
+            let resumed = sim
                 .restore_session(p2.as_mut(), &snap)
                 .unwrap_or_else(|e| panic!("{name}: restore at {kill_minute}: {e}"));
-            while resumed.step_minute().is_some() {}
             let resumed = resumed.finish();
             assert_eq!(
                 whole, resumed,
@@ -186,7 +185,7 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
 
 #[test]
 fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 150);
     let fams = zoo12();
@@ -201,13 +200,13 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
     // Request-level faults + stochastic durations: both RNG cursors must
     // survive the kill. The cluster-compatible single-node path.
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed).with_timeout_ms(120_000);
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let topo = ClusterConfig::unlimited();
     for (name, make) in &policy_factories(&fams, &trace) {
-        let whole = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
+        let whole = rt.session(make().as_mut(), &plan, topo).finish();
         // Kill mid-minute, at an arbitrary event boundary.
         for kill_events in [1usize, 1000] {
             let mut p1 = make();
-            let mut sess = rt.fleet_session(p1.as_mut(), &plan, fleet.clone());
+            let mut sess = rt.session(p1.as_mut(), &plan, topo);
             for _ in 0..kill_events {
                 if sess.step().is_none() {
                     break;
@@ -219,10 +218,9 @@ fn runtime_kill_restore_resume_is_bit_identical_for_every_policy() {
             drop(sess);
 
             let mut p2 = make();
-            let mut resumed = rt
-                .restore_fleet_session(p2.as_mut(), &plan, fleet.clone(), &snap)
+            let resumed = rt
+                .restore_session(p2.as_mut(), &plan, topo, &snap)
                 .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-            while resumed.step().is_some() {}
             assert_summaries_bit_identical(name, &whole, &resumed.finish());
         }
     }
@@ -253,9 +251,9 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let whole = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
+        let whole = rt.session(make().as_mut(), &plan, fleet.clone()).finish();
         let mut p1 = make();
-        let mut sess = rt.fleet_session(p1.as_mut(), &plan, fleet.clone());
+        let mut sess = rt.session(p1.as_mut(), &plan, fleet.clone());
         for _ in 0..2500 {
             if sess.step().is_none() {
                 break;
@@ -267,10 +265,9 @@ fn fleet_kill_restore_resume_is_bit_identical_for_every_policy() {
         drop(sess);
 
         let mut p2 = make();
-        let mut resumed = rt
-            .restore_fleet_session(p2.as_mut(), &plan, fleet.clone(), &snap)
+        let resumed = rt
+            .restore_session(p2.as_mut(), &plan, fleet.clone(), &snap)
             .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-        while resumed.step().is_some() {}
         assert_summaries_bit_identical(name, &whole, &resumed.finish());
     }
 }
@@ -302,10 +299,10 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
         )
     };
     let mut whole_p = make();
-    let whole = rt.run_with_fleet(&mut whole_p, &plan, &fleet);
+    let whole = rt.session(&mut whole_p, &plan, fleet.clone()).finish();
 
     let mut p1 = make();
-    let mut sess = rt.fleet_session(&mut p1, &plan, fleet.clone());
+    let mut sess = rt.session(&mut p1, &plan, fleet.clone());
     for _ in 0..1500 {
         if sess.step().is_none() {
             break;
@@ -315,10 +312,9 @@ fn watchdog_wrapped_policy_recovers_bit_identically() {
     drop(sess);
 
     let mut p2 = make();
-    let mut resumed = rt
-        .restore_fleet_session(&mut p2, &plan, fleet.clone(), &snap)
+    let resumed = rt
+        .restore_session(&mut p2, &plan, fleet.clone(), &snap)
         .expect("watchdog restore");
-    while resumed.step().is_some() {}
     assert_summaries_bit_identical("watchdog(pulse)", &whole, &resumed.finish());
 }
 
@@ -355,10 +351,9 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
     // events reproduce the journal tail exactly.
     let mut fresh = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     let mut resume_sink = MemorySink::new();
-    let mut resumed = sim
+    let resumed = sim
         .restore_session_traced(&mut fresh, ckpt, &mut resume_sink)
         .expect("recovery restore");
-    while resumed.step_minute().is_some() {}
     let resumed = resumed.finish();
 
     let whole = sim.run(&mut pulse::sim::policies::PulsePolicy::new(
@@ -381,7 +376,7 @@ fn journal_replay_recovers_both_engines_after_torn_write() {
 
 #[test]
 fn snapshot_failures_are_typed_and_soft_on_both_engines() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 60);
     let fams = zoo12();
@@ -411,10 +406,10 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     // Wrong engine: a sim snapshot offered to the runtime (and the runtime
     // stamps its own fingerprints, so even the header is rejected typed).
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let topo = ClusterConfig::unlimited();
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert!(rt
-        .restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), &snap)
+        .restore_session(&mut p, &FaultPlan::none(), topo, &snap)
         .is_err());
     // Garbage never panics.
     for garbage in [
@@ -428,7 +423,7 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
         assert!(sim.restore_session(&mut p, garbage).is_err(), "{garbage:?}");
         let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(
-            rt.restore_fleet_session(&mut p, &FaultPlan::none(), fleet.clone(), garbage)
+            rt.restore_session(&mut p, &FaultPlan::none(), topo, garbage)
                 .is_err(),
             "{garbage:?}"
         );
@@ -437,7 +432,7 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
 
 /// Assert that two ledgers (one possibly carrying a warm incremental cache,
 /// one freshly rebuilt by restore) answer every metered and footprint query
-/// bit-identically to each other *and* to the legacy full sweep.
+/// bit-identically to each other *and* to the full sweep.
 fn assert_ledgers_equivalent(
     fams: &[ModelFamily],
     live: &pulse::core::schedule::ScheduleLedger,
@@ -446,11 +441,6 @@ fn assert_ledgers_equivalent(
     what: &str,
 ) {
     use pulse::core::schedule::MinuteFootprint;
-    assert!(live.is_incremental(), "{what}: live ledger lost its index");
-    assert!(
-        restored.is_incremental(),
-        "{what}: restore dropped the incremental index"
-    );
     let mut a = live.clone();
     let mut b = restored.clone();
     let mut fa = MinuteFootprint::default();
@@ -481,10 +471,10 @@ fn assert_ledgers_equivalent(
 /// Restore rebuilds the ledger's incremental cache (dirty sets, running
 /// totals) deterministically: after a mid-run snapshot, the restored
 /// session's cached reads are bit-identical to the uninterrupted session's
-/// and to the legacy full sweep, on both engines.
+/// and to the full sweep, on both engines.
 #[test]
 fn restored_ledger_rebuilds_incremental_cache_deterministically() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, FleetConfig, Runtime, RuntimeConfig};
+    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 120);
     let fams = zoo12();
@@ -504,9 +494,9 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
 
     // Runtime engine: kill mid-stream after a fixed number of events.
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let fleet = FleetConfig::from_cluster(ClusterConfig::unlimited());
+    let topo = ClusterConfig::unlimited();
     let mut p1 = make();
-    let mut sess = rt.fleet_session(&mut p1, &FaultPlan::none(), fleet.clone());
+    let mut sess = rt.session(&mut p1, &FaultPlan::none(), topo);
     for _ in 0..500 {
         if sess.step().is_none() {
             break;
@@ -517,7 +507,7 @@ fn restored_ledger_rebuilds_incremental_cache_deterministically() {
     drop(sess);
     let mut p2 = make();
     let restored = rt
-        .restore_fleet_session(&mut p2, &FaultPlan::none(), fleet, &snap)
+        .restore_session(&mut p2, &FaultPlan::none(), topo, &snap)
         .expect("runtime restore");
     assert_ledgers_equivalent(&fams, &live, &restored.ledger().clone(), 130, "runtime");
 }

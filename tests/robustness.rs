@@ -253,9 +253,13 @@ fn zero_fault_plan_is_bitwise_identical_for_every_policy() {
 
     // The trivial fault plan must not perturb a single bit of any policy's
     // summary.
+    // A seeded plan whose rates are all zero draws nothing.
+    let zero = FaultPlan::uniform(0.0, 0.0, 0.0, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
         let plain = rt.run(make().as_mut());
-        let faulted = rt.run_with_faults(make().as_mut(), &FaultPlan::none());
+        let faulted = rt
+            .session(make().as_mut(), &zero, ClusterConfig::unlimited())
+            .finish();
         assert_eq!(plain.records, faulted.records, "{name}: records diverged");
         assert_eq!(
             plain.keepalive_cost_usd.to_bits(),
@@ -285,7 +289,9 @@ fn zero_fault_plan_is_bitwise_identical_for_every_policy() {
 
 #[test]
 fn unlimited_cluster_is_bitwise_identical_for_every_policy() {
-    use pulse::runtime::{ClusterConfig, FaultPlan, Runtime, RuntimeConfig};
+    use pulse::runtime::{
+        AdmissionControl, ClusterConfig, FaultPlan, NodeCapacity, Runtime, RuntimeConfig,
+    };
 
     let seed = chaos_seed();
     let trace = pulse::trace::synth::azure_like_12_with_horizon(seed, 200);
@@ -299,14 +305,21 @@ fn unlimited_cluster_is_bitwise_identical_for_every_policy() {
         },
     );
     // A decidedly non-trivial fault plan: the robustness layer must be a
-    // pure pass-through when capacity is unlimited, admission unbounded and
-    // no watchdog is wrapped — even while faults, retries, degradations and
-    // timeouts are all firing.
+    // pure pass-through when neither the cap nor the admission bound ever
+    // binds and no watchdog is wrapped — even while faults, retries,
+    // degradations and timeouts are all firing.
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
+    let all_high: f64 = fams.iter().map(|f| f.highest().memory_mb).sum();
+    let roomy = ClusterConfig {
+        capacity: NodeCapacity::mb(all_high * 2.0),
+        admission: AdmissionControl::bounded(1 << 30),
+    };
 
     for (name, make) in &policy_factories(&fams, &trace) {
-        let faults = rt.run_with_faults(make().as_mut(), &plan);
-        let cluster = rt.run_with_cluster(make().as_mut(), &plan, &ClusterConfig::unlimited());
+        let faults = rt
+            .session(make().as_mut(), &plan, ClusterConfig::unlimited())
+            .finish();
+        let cluster = rt.session(make().as_mut(), &plan, roomy).finish();
         assert_eq!(faults.records, cluster.records, "{name}: records diverged");
         assert_eq!(
             faults.keepalive_cost_usd.to_bits(),
@@ -365,9 +378,13 @@ fn disabled_watchdog_is_bitwise_transparent_for_every_policy() {
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
 
     for (name, make) in &policy_factories(&fams, &trace) {
-        let bare = rt.run_with_faults(make().as_mut(), &plan);
+        let bare = rt
+            .session(make().as_mut(), &plan, ClusterConfig::unlimited())
+            .finish();
         let mut wrapped = Watchdog::new(make(), &fams, WatchdogConfig::disabled());
-        let watched = rt.run_with_cluster(&mut wrapped, &plan, &ClusterConfig::unlimited());
+        let watched = rt
+            .session(&mut wrapped, &plan, ClusterConfig::unlimited())
+            .finish();
         assert_eq!(bare.records, watched.records, "{name}: records diverged");
         assert_eq!(
             bare.keepalive_cost_usd.to_bits(),
@@ -402,7 +419,13 @@ fn top_rung_outage_degrades_every_request_one_rung_and_never_corrupts_billing() 
         );
     }
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
-    let s = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+    let s = rt
+        .session(
+            &mut OpenWhiskFixed::new(&fams),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
 
     assert_eq!(s.requests(), trace.total_invocations());
@@ -446,7 +469,13 @@ fn mid_execution_crashes_never_double_bill_gbms() {
     let fams = zoo12();
     let rt = Runtime::new(trace, fams.clone(), RuntimeConfig::default());
     let plan = FaultPlan::uniform(0.0, 0.0, 0.4, seed);
-    let crashed = rt.run_with_faults(&mut OpenWhiskFixed::new(&fams), &plan);
+    let crashed = rt
+        .session(
+            &mut OpenWhiskFixed::new(&fams),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
 
     assert!(crashed.exec_crashes > 0, "rate 0.4 must hit something");
@@ -483,14 +512,20 @@ fn fault_scenarios_replay_identically_under_the_chaos_seed() {
         },
     );
     let plan = FaultPlan::uniform(0.25, 0.1, 0.1, seed).with_timeout_ms(120_000);
-    let a = rt.run_with_faults(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-    );
-    let b = rt.run_with_faults(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-    );
+    let a = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
+    let b = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &plan,
+            ClusterConfig::unlimited(),
+        )
+        .finish();
     assert_eq!(a.records, b.records);
     assert_eq!(a.provision_failures, b.provision_failures);
     assert_eq!(a.provision_retries, b.provision_retries);
@@ -628,8 +663,17 @@ fn null_sink_faulted_run_is_bit_identical_for_every_policy() {
     // sits on every one of those paths and must not perturb them.
     let plan = FaultPlan::uniform(0.2, 0.1, 0.05, seed).with_timeout_ms(120_000);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_faults(make().as_mut(), &plan);
-        let traced = rt.run_with_faults_traced(make().as_mut(), &plan, &mut NullSink);
+        let plain = rt
+            .session(make().as_mut(), &plan, ClusterConfig::unlimited())
+            .finish();
+        let traced = rt
+            .session_traced(
+                make().as_mut(),
+                &plan,
+                ClusterConfig::unlimited(),
+                &mut NullSink,
+            )
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -659,8 +703,10 @@ fn null_sink_cluster_run_is_bit_identical_for_every_policy() {
     };
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_cluster(make().as_mut(), &plan, &cluster);
-        let traced = rt.run_with_cluster_traced(make().as_mut(), &plan, &cluster, &mut NullSink);
+        let plain = rt.session(make().as_mut(), &plan, cluster).finish();
+        let traced = rt
+            .session_traced(make().as_mut(), &plan, cluster, &mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -683,7 +729,7 @@ fn min_cold_ms(fams: &[ModelFamily]) -> u64 {
 #[test]
 fn single_node_fleet_is_bitwise_identical_to_cluster_for_every_policy() {
     use pulse::runtime::{
-        AdmissionControl, ClusterConfig, FaultPlan, FleetConfig, NodeCapacity, Runtime,
+        AdmissionControl, ClusterConfig, FaultPlan, FleetConfig, NodeCapacity, NodeSpec, Runtime,
         RuntimeConfig,
     };
     let seed = chaos_seed();
@@ -706,10 +752,12 @@ fn single_node_fleet_is_bitwise_identical_to_cluster_for_every_policy() {
         admission: AdmissionControl::bounded(16),
     };
     let plan = FaultPlan::uniform(0.1, 0.05, 0.02, seed);
+    // The same node built by hand through the fleet API.
+    let fleet = FleetConfig::single(NodeSpec::nominal("node0", cluster.capacity))
+        .with_admission(cluster.admission);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let via_cluster = rt.run_with_cluster(make().as_mut(), &plan, &cluster);
-        let via_fleet =
-            rt.run_with_fleet(make().as_mut(), &plan, &FleetConfig::from_cluster(cluster));
+        let via_cluster = rt.session(make().as_mut(), &plan, cluster).finish();
+        let via_fleet = rt.session(make().as_mut(), &plan, fleet.clone()).finish();
         assert_summaries_bit_identical(name, &via_cluster, &via_fleet);
         // The single node absorbs the whole fleet accounting.
         assert_eq!(via_fleet.node_summaries.len(), 1, "{name}");
@@ -753,8 +801,16 @@ fn idle_unlimited_extra_nodes_are_bitwise_transparent() {
     // not move a single bit of the accounting.
     let fleet = FleetConfig::uniform(3, NodeCapacity::unlimited());
     for (name, make) in &policy_factories(&fams, &trace) {
-        let single = rt.run_with_faults(make().as_mut(), &FaultPlan::none());
-        let spread = rt.run_with_fleet(make().as_mut(), &FaultPlan::none(), &fleet);
+        let single = rt
+            .session(
+                make().as_mut(),
+                &FaultPlan::none(),
+                ClusterConfig::unlimited(),
+            )
+            .finish();
+        let spread = rt
+            .session(make().as_mut(), &FaultPlan::none(), fleet.clone())
+            .finish();
         assert_eq!(single.records, spread.records, "{name}: records diverged");
         assert_eq!(
             single.keepalive_cost_usd.to_bits(),
@@ -797,7 +853,9 @@ fn rolling_node_failures_keep_every_policy_available() {
     let cheap_bar = min_cold_ms(&fams);
     let mut total_migrations = 0u64;
     for (name, make) in &policy_factories(&fams, &trace) {
-        let s = rt.run_with_fleet(make().as_mut(), &FaultPlan::none(), &fleet);
+        let s = rt
+            .session(make().as_mut(), &FaultPlan::none(), fleet.clone())
+            .finish();
         assert_eq!(s.requests(), trace.total_invocations(), "{name}");
         assert!(
             s.availability() >= 0.99,
@@ -847,11 +905,13 @@ fn correlated_outage_fails_over_or_fails_loud() {
     // failure must be loud (placement failures), never a hang.
     let fleet = FleetConfig::uniform(3, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::correlated_outage(&[0, 1], 30, 20));
-    let s = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &FaultPlan::none(),
-        &fleet,
-    );
+    let s = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &FaultPlan::none(),
+            fleet.clone(),
+        )
+        .finish();
     assert_eq!(s.requests(), trace.total_invocations());
     assert_eq!(s.node_partitions, 2);
     assert!(
@@ -866,11 +926,13 @@ fn correlated_outage_fails_over_or_fails_loud() {
 
     let all_down = FleetConfig::uniform(2, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::correlated_outage(&[0, 1], 30, 20));
-    let dark = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &FaultPlan::none(),
-        &all_down,
-    );
+    let dark = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &FaultPlan::none(),
+            all_down.clone(),
+        )
+        .finish();
     assert!(
         dark.placement_failures > 0,
         "a fully dark fleet must fail placements loudly"
@@ -892,7 +954,13 @@ fn stragglers_slow_requests_but_fail_nothing() {
     let rt = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default());
     let slow = FleetConfig::uniform(1, NodeCapacity::unlimited())
         .with_node_faults(NodeFaultPlan::stragglers(1, 5, 110, 1000, 4.0, 120));
-    let s = rt.run_with_fleet(&mut OpenWhiskFixed::new(&fams), &FaultPlan::none(), &slow);
+    let s = rt
+        .session(
+            &mut OpenWhiskFixed::new(&fams),
+            &FaultPlan::none(),
+            slow.clone(),
+        )
+        .finish();
     let clean = rt.run(&mut OpenWhiskFixed::new(&fams));
     assert_eq!(s.node_stragglers, 1);
     assert_eq!(s.failed_requests(), 0, "slow is not broken");
@@ -934,8 +1002,10 @@ fn null_sink_fleet_run_is_bit_identical_for_every_policy() {
         .with_node_faults(NodeFaultPlan::rolling_crashes(3, 10, 6, 30, 200));
     let plan = FaultPlan::uniform(0.05, 0.02, 0.02, seed);
     for (name, make) in &policy_factories(&fams, &trace) {
-        let plain = rt.run_with_fleet(make().as_mut(), &plan, &fleet);
-        let traced = rt.run_with_fleet_traced(make().as_mut(), &plan, &fleet, &mut NullSink);
+        let plain = rt.session(make().as_mut(), &plan, fleet.clone()).finish();
+        let traced = rt
+            .session_traced(make().as_mut(), &plan, fleet.clone(), &mut NullSink)
+            .finish();
         assert_summaries_bit_identical(name, &plain, &traced);
     }
 }
@@ -963,16 +1033,20 @@ fn fleet_scenarios_replay_identically_under_the_chaos_seed() {
     ])
     .with_node_faults(NodeFaultPlan::rolling_crashes(3, 15, 5, 40, 150));
     let plan = FaultPlan::uniform(0.1, 0.05, 0.05, seed);
-    let a = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-        &fleet,
-    );
-    let b = rt.run_with_fleet(
-        &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
-        &plan,
-        &fleet,
-    );
+    let a = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &plan,
+            fleet.clone(),
+        )
+        .finish();
+    let b = rt
+        .session(
+            &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+            &plan,
+            fleet.clone(),
+        )
+        .finish();
     assert_summaries_bit_identical("pulse/fleet-replay", &a, &b);
     assert_eq!(a.records, b.records);
 }
