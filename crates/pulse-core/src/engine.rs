@@ -6,13 +6,20 @@
 //! 1. [`PulseEngine::record_invocation`] whenever a function is invoked;
 //! 2. [`PulseEngine::schedule_after_invocation`] to obtain the per-minute
 //!    variant plan for the next keep-alive window (individual optimization);
-//! 3. once per minute, [`PulseEngine::check_and_flatten`] with the current
-//!    keep-alive memory and the set of alive containers — if Algorithm 1
-//!    flags a peak, Algorithm 2's downgrade actions are returned for the
-//!    platform to apply (cross-function optimization).
+//! 3. once per minute, [`PulseEngine::check_and_flatten`] with the minute,
+//!    the current keep-alive memory and the set of alive containers — if
+//!    Algorithm 1 flags a peak, the engine fills each alive model's `Ip` and
+//!    returns Algorithm 2's downgrade actions for the platform to apply
+//!    (cross-function optimization).
+//!
+//! Policies that replace one step compose the pieces of call 3 instead:
+//! [`PulseEngine::peak_target`], [`PulseEngine::fill_invocation_probabilities`]
+//! and [`PulseEngine::flatten_to`] / [`PulseEngine::flatten_with`].
 
 use crate::convert::window_to_len;
-use crate::global::{flatten_peak_scratch, AliveModel, FlattenOutcome, FlattenScratch};
+use crate::global::{
+    flatten_peak_scratch, flatten_peak_with, AliveModel, FlattenOutcome, FlattenScratch,
+};
 use crate::individual::{IndividualOptimizer, KeepAliveSchedule};
 use crate::interarrival::{GapProbabilities, InterArrivalModel};
 use crate::peak::PeakDetector;
@@ -126,11 +133,6 @@ impl PulseEngine {
         &self.priority
     }
 
-    /// The peak detector (inspection).
-    pub fn detector(&self) -> &PeakDetector {
-        &self.detector
-    }
-
     /// Record an invocation of function `f` at minute `t`.
     pub fn record_invocation(&mut self, f: FuncId, t: Minute) {
         self.arrivals[f].record(t);
@@ -229,39 +231,96 @@ impl PulseEngine {
         }
     }
 
-    /// Cross-function optimization for one minute.
+    /// Algorithm 1 for one minute: the flatten target when
+    /// `current_kam_mb` is a peak over the prior keep-alive level, `None`
+    /// otherwise.
     ///
     /// * `mem_history` — per-minute keep-alive memory series *before* this
     ///   minute (oldest first);
     /// * `first_minute_of_period` — true when activity just resumed (the
     ///   previous minute had no alive containers), selecting Algorithm 1's
     ///   `t == 1` branch;
-    /// * `current_kam_mb` — keep-alive memory at this minute;
-    /// * `alive` — the alive containers; mutated in place when a peak is
-    ///   flattened.
-    ///
-    /// Returns `None` when the minute is not a peak, otherwise the actions
-    /// the platform must apply.
-    pub fn check_and_flatten(
-        &mut self,
+    /// * `current_kam_mb` — keep-alive memory at this minute.
+    pub fn peak_target(
+        &self,
         mem_history: &[f64],
         first_minute_of_period: bool,
         current_kam_mb: f64,
-        alive: &mut Vec<AliveModel>,
-    ) -> Option<FlattenOutcome> {
+    ) -> Option<f64> {
         let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
-        if !self.detector.is_peak(current_kam_mb, prior) {
-            return None;
+        self.detector
+            .is_peak(current_kam_mb, prior)
+            .then(|| self.detector.flatten_target(prior))
+    }
+
+    /// Set each alive model's `Ip` to its
+    /// [`Self::invocation_probability_at`] minute `t`.
+    pub fn fill_invocation_probabilities(&self, t: Minute, alive: &mut [AliveModel]) {
+        for m in alive.iter_mut() {
+            m.invocation_probability = self.invocation_probability_at(m.func, t);
         }
-        let target = self.detector.flatten_target(prior);
-        Some(flatten_peak_scratch(
+    }
+
+    /// Algorithm 2 at minute `t` toward an explicit target: fill `Ip`, then
+    /// downgrade by `Uv = Ai + Pr + Ip` on the engine's priority structure
+    /// until `current_kam_mb` falls to `target_kam_mb`. `alive` is mutated
+    /// in place.
+    pub fn flatten_to(
+        &mut self,
+        t: Minute,
+        alive: &mut Vec<AliveModel>,
+        current_kam_mb: f64,
+        target_kam_mb: f64,
+    ) -> FlattenOutcome {
+        self.fill_invocation_probabilities(t, alive);
+        flatten_peak_scratch(
             &mut self.scratch,
             alive,
             &self.families,
             &mut self.priority,
             current_kam_mb,
-            target,
-        ))
+            target_kam_mb,
+        )
+    }
+
+    /// [`Self::flatten_to`] with a caller-supplied victim score (see
+    /// [`flatten_peak_with`]), for ablations of the `Uv` terms.
+    pub fn flatten_with(
+        &mut self,
+        t: Minute,
+        alive: &mut Vec<AliveModel>,
+        current_kam_mb: f64,
+        target_kam_mb: f64,
+        score: impl Fn(&AliveModel, &ModelFamily, f64) -> f64,
+    ) -> FlattenOutcome {
+        self.fill_invocation_probabilities(t, alive);
+        flatten_peak_with(
+            alive,
+            &self.families,
+            &mut self.priority,
+            current_kam_mb,
+            target_kam_mb,
+            score,
+        )
+    }
+
+    /// Cross-function optimization for minute `t`: [`Self::peak_target`],
+    /// then, only at a peak, [`Self::flatten_to`] that target. Arguments
+    /// are as for those two; `alive` is mutated in place when a peak is
+    /// flattened.
+    ///
+    /// Returns `None` when the minute is not a peak, otherwise the actions
+    /// the platform must apply.
+    pub fn check_and_flatten(
+        &mut self,
+        t: Minute,
+        mem_history: &[f64],
+        first_minute_of_period: bool,
+        current_kam_mb: f64,
+        alive: &mut Vec<AliveModel>,
+    ) -> Option<FlattenOutcome> {
+        let target = self.peak_target(mem_history, first_minute_of_period, current_kam_mb)?;
+        Some(self.flatten_to(t, alive, current_kam_mb, target))
     }
 }
 
@@ -320,7 +379,7 @@ mod tests {
         let history = vec![1000.0; 20];
         let mut alive = Vec::new();
         assert!(e
-            .check_and_flatten(&history, false, 1000.0, &mut alive)
+            .check_and_flatten(20, &history, false, 1000.0, &mut alive)
             .is_none());
     }
 
@@ -342,13 +401,49 @@ mod tests {
         ];
         let current = 9000.0; // 9× the steady level → definitely a peak
         let out = e
-            .check_and_flatten(&history, false, current, &mut alive)
+            .check_and_flatten(20, &history, false, current, &mut alive)
             .expect("peak expected");
         assert!(out.flattened);
         assert!(out.final_kam_mb <= 1100.0 + 1e-9);
         assert!(!out.actions.is_empty());
         let total_bumps: u64 = (0..3).map(|m| e.priority().count(m)).sum();
         assert_eq!(usize::try_from(total_bumps).unwrap(), out.actions.len());
+    }
+
+    #[test]
+    fn peak_fills_ip_so_the_likely_model_is_downgraded_last() {
+        // Same family and rung, fresh priorities: equal `Ai` and `Pr`, so
+        // `Ip` alone orders the victims.
+        let mut e = PulseEngine::new(vec![zoo::bert(), zoo::bert()], PulseConfig::default());
+        for t in [0u64, 5, 10, 15] {
+            e.record_invocation(0, t); // gap 5 every time: Ip = 1 at t = 20
+        }
+        for t in [0u64, 3, 6, 9, 12, 15, 18] {
+            e.record_invocation(1, t); // gap 2 never seen: Ip = 0 at t = 20
+        }
+        let top = e.family(0).highest_id();
+        // Function 0 first: with both `Ip` left at 0 the tie would fall to
+        // position 0 and downgrade it.
+        let mut alive: Vec<AliveModel> = (0..2)
+            .map(|func| AliveModel {
+                func,
+                variant: top,
+                invocation_probability: 0.0,
+            })
+            .collect();
+        // Twice the steady level: a peak whose target keeps one model alive.
+        let steady = e.family(0).highest().memory_mb;
+        let out = e
+            .check_and_flatten(20, &[steady; 20], false, 2.0 * steady, &mut alive)
+            .expect("peak expected");
+        assert_eq!(out.actions[0].func(), 1, "{:?}", out.actions);
+        let ip_of = |f: FuncId| {
+            alive
+                .iter()
+                .find(|m| m.func == f)
+                .map(|m| m.invocation_probability)
+        };
+        assert_eq!(ip_of(0), Some(1.0));
     }
 
     #[test]
@@ -364,7 +459,7 @@ mod tests {
         }];
         // Wake up at roughly the old level: not a peak.
         assert!(e
-            .check_and_flatten(&history, true, 5100.0, &mut alive)
+            .check_and_flatten(180, &history, true, 5100.0, &mut alive)
             .is_none());
         assert_eq!(alive.len(), 1);
     }
@@ -421,7 +516,7 @@ mod tests {
             variant: 2,
             invocation_probability: 0.0,
         }];
-        e.check_and_flatten(&history, false, 9000.0, &mut alive);
+        e.check_and_flatten(20, &history, false, 9000.0, &mut alive);
         let (arrivals, counts) = e.export_state();
 
         let mut fresh = engine();

@@ -16,15 +16,14 @@
 
 use crate::common::ExpConfig;
 use crate::report::{fmt, Table};
-use pulse_core::global::{flatten_peak_with, AliveModel, DowngradeAction};
+use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::{IndividualOptimizer, KeepAliveSchedule};
 use pulse_core::interarrival::InterArrivalModel;
-use pulse_core::peak::PeakDetector;
-use pulse_core::priority::PriorityStructure;
 use pulse_core::probability::Probability;
 use pulse_core::thresholds::SchemeT1;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
 use pulse_core::utility::utility_value;
+use pulse_core::PulseEngine;
 use pulse_models::ModelFamily;
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{CapacityPulse, CapacityRandom, OpenWhiskFixed};
@@ -70,14 +69,11 @@ impl UtilityMode {
     }
 }
 
-/// PULSE with a configurable flatten score — the ablation vehicle.
+/// PULSE with a configurable flatten score — the ablation vehicle. The
+/// embedded engine records, schedules, runs the peak test and fills `Ip`;
+/// only Algorithm 2's victim score varies with the mode.
 pub struct AblationPolicy {
-    families: Vec<ModelFamily>,
-    arrivals: Vec<InterArrivalModel>,
-    priority: PriorityStructure,
-    detector: PeakDetector,
-    optimizer: IndividualOptimizer,
-    config: PulseConfig,
+    engine: PulseEngine,
     mode: UtilityMode,
     rng: SmallRng,
 }
@@ -90,14 +86,8 @@ impl AblationPolicy {
         mode: UtilityMode,
         seed: u64,
     ) -> Self {
-        let n = families.len();
         Self {
-            detector: PeakDetector::new(config.km_threshold, config.local_window as usize),
-            optimizer: IndividualOptimizer::new(config.keepalive_minutes),
-            arrivals: vec![InterArrivalModel::new(); n],
-            priority: PriorityStructure::new(n),
-            families,
-            config,
+            engine: PulseEngine::new(families, config),
             mode,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -106,16 +96,12 @@ impl AblationPolicy {
     /// Largest share of total downgrades absorbed by a single function
     /// (1.0 = one function takes everything; ~1/n = perfectly spread).
     pub fn victim_concentration(&self) -> f64 {
-        let total: u64 = (0..self.families.len())
-            .map(|f| self.priority.count(f))
-            .sum();
+        let counts = self.engine.priority().counts();
+        let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0.0;
         }
-        let max = (0..self.families.len())
-            .map(|f| self.priority.count(f))
-            .max()
-            .unwrap_or(0);
+        let max = counts.iter().copied().max().unwrap_or(0);
         max as f64 / total as f64
     }
 }
@@ -126,18 +112,12 @@ impl KeepAlivePolicy for AblationPolicy {
     }
 
     fn schedule_on_invocation(&mut self, f: FuncId, t: Minute) -> KeepAliveSchedule {
-        self.arrivals[f].record(t);
-        let probs = self.arrivals[f].probabilities(
-            t,
-            self.config.local_window,
-            self.config.keepalive_minutes,
-        );
-        self.optimizer
-            .schedule(t, &probs, self.families[f].n_variants(), &SchemeT1)
+        self.engine.record_invocation(f, t);
+        self.engine.schedule_with_scheme(f, t, &SchemeT1)
     }
 
     fn cold_start_variant(&mut self, f: FuncId, _t: Minute) -> usize {
-        self.families[f].highest_id()
+        self.engine.family(f).highest_id()
     }
 
     fn adjust_minute(
@@ -148,52 +128,41 @@ impl KeepAlivePolicy for AblationPolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        let prior = self.detector.prior_kam(mem_history, first_minute_of_period);
-        if !self.detector.is_peak(current_kam_mb, prior) {
+        let Some(target) =
+            self.engine
+                .peak_target(mem_history, first_minute_of_period, current_kam_mb)
+        else {
             return Vec::new();
-        }
-        for m in alive.iter_mut() {
-            let ip = match self.arrivals[m.func].last_arrival() {
-                Some(last) if t > last => self.arrivals[m.func]
-                    .probabilities(t, self.config.local_window, self.config.keepalive_minutes)
-                    .at(t - last),
-                _ => 0.0,
-            };
-            m.invocation_probability = ip;
-        }
-        let target = self.detector.flatten_target(prior);
+        };
         let mode = self.mode;
         // Random mode needs per-call randomness; draw a salt outside the
         // closure (the closure is Fn, not FnMut).
         let salt: u64 = self.rng.gen();
-        let outcome = flatten_peak_with(
-            alive,
-            &self.families,
-            &mut self.priority,
-            current_kam_mb,
-            target,
-            move |m, fam, pr| {
-                let ai = fam.accuracy_improvement(m.variant);
-                let ip = m.invocation_probability.clamp(0.0, 1.0);
-                match mode {
-                    UtilityMode::Full => {
-                        utility_value(ai, Probability::saturating(pr), Probability::saturating(ip))
+        let outcome =
+            self.engine
+                .flatten_with(t, alive, current_kam_mb, target, move |m, fam, pr| {
+                    let ai = fam.accuracy_improvement(m.variant);
+                    let ip = m.invocation_probability.clamp(0.0, 1.0);
+                    match mode {
+                        UtilityMode::Full => utility_value(
+                            ai,
+                            Probability::saturating(pr),
+                            Probability::saturating(ip),
+                        ),
+                        UtilityMode::NoPriority => ai + ip,
+                        UtilityMode::NoProbability => ai + pr,
+                        UtilityMode::AccuracyOnly => ai,
+                        UtilityMode::Random => {
+                            // Deterministic hash of (salt, func, variant) → [0,1).
+                            let mut h = salt ^ (m.func as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                            h ^= (m.variant as u64).wrapping_mul(0xD1B54A32D192ED03);
+                            h ^= h >> 33;
+                            h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+                            h ^= h >> 33;
+                            (h >> 11) as f64 / (1u64 << 53) as f64
+                        }
                     }
-                    UtilityMode::NoPriority => ai + ip,
-                    UtilityMode::NoProbability => ai + pr,
-                    UtilityMode::AccuracyOnly => ai,
-                    UtilityMode::Random => {
-                        // Deterministic hash of (salt, func, variant) → [0,1).
-                        let mut h = salt ^ (m.func as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                        h ^= (m.variant as u64).wrapping_mul(0xD1B54A32D192ED03);
-                        h ^= h >> 33;
-                        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-                        h ^= h >> 33;
-                        (h >> 11) as f64 / (1u64 << 53) as f64
-                    }
-                }
-            },
-        );
+                });
         outcome.actions
     }
 }
@@ -411,6 +380,31 @@ mod tests {
             full.victim_concentration(),
             ai_only.victim_concentration()
         );
+    }
+
+    #[test]
+    fn full_mode_is_pulse_bit_for_bit() {
+        use pulse_sim::policies::PulsePolicy;
+        use pulse_trace::synth;
+        for trace in [
+            synth::azure_like_12_with_horizon(42, 20_160),
+            synth::azure_like_n_with_horizon(1000, 42, 1440),
+        ] {
+            let fams = round_robin_assignment(&pulse_models::zoo::standard(), trace.n_functions());
+            let sim = Simulator::new(trace, fams.clone());
+            let pulse = sim.run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+            let mut full = sim.run(&mut AblationPolicy::new(
+                fams,
+                PulseConfig::default(),
+                UtilityMode::Full,
+                42,
+            ));
+            assert!(pulse.downgrades > 0);
+            full.policy.clone_from(&pulse.policy);
+            // Debug prints every float in shortest round-trip form, so equal
+            // strings mean equal bits.
+            assert_eq!(format!("{full:?}"), format!("{pulse:?}"));
+        }
     }
 
     #[test]

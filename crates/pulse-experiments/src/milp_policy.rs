@@ -61,16 +61,14 @@ impl KeepAlivePolicy for MilpPolicy {
         current_kam_mb: f64,
         alive: &mut Vec<AliveModel>,
     ) -> Vec<DowngradeAction> {
-        let detector = *self.engine.detector();
-        let prior = detector.prior_kam(mem_history, first_minute_of_period);
-        if !detector.is_peak(current_kam_mb, prior) {
+        let Some(target) =
+            self.engine
+                .peak_target(mem_history, first_minute_of_period, current_kam_mb)
+        else {
             return Vec::new();
-        }
+        };
         self.peaks += 1;
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        let target = detector.flatten_target(prior);
+        self.engine.fill_invocation_probabilities(t, alive);
         let start = std::time::Instant::now();
         let plan = MilpDowngrader.solve(alive, self.engine.families(), &self.priority, target);
         self.solver_time += start.elapsed();

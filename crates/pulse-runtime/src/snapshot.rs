@@ -1018,7 +1018,11 @@ mod tests {
         let snap = sess.snapshot().unwrap();
         drop(sess);
 
-        let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
+        let skewed = snap.replacen(
+            &format!("\"version\":{}", pulse_sim::SNAPSHOT_VERSION),
+            "\"version\":9",
+            1,
+        );
         let mut p2 = pulse(&fams);
         assert!(matches!(
             rt.restore_session(&mut p2, &plan, fleet.clone(), &skewed),

@@ -808,7 +808,11 @@ mod tests {
         drop(session);
 
         // Version skew is detected before anything else is trusted.
-        let skewed = snap.replacen("\"version\":1", "\"version\":9", 1);
+        let skewed = snap.replacen(
+            &format!("\"version\":{SNAPSHOT_VERSION}"),
+            "\"version\":9",
+            1,
+        );
         let mut q = PulsePolicy::new(fams.clone(), PulseConfig::default());
         assert!(matches!(
             sim.restore_session(&mut q, &skewed),

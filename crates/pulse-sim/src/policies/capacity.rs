@@ -23,7 +23,7 @@
 
 use super::pulse::{decode_engine_state, encode_engine_state};
 use crate::policy::KeepAlivePolicy;
-use pulse_core::global::{flatten_peak, AliveModel, DowngradeAction};
+use pulse_core::global::{AliveModel, DowngradeAction};
 use pulse_core::individual::KeepAliveSchedule;
 use pulse_core::priority::PriorityStructure;
 use pulse_core::types::{FuncId, Minute, PulseConfig};
@@ -136,12 +136,11 @@ impl<P: KeepAlivePolicy> KeepAlivePolicy for CapacityRandom<P> {
 }
 
 /// PULSE under a hard memory cap: the cap replaces the relative peak
-/// detector as the flatten trigger/target. Maintains its own priority
-/// structure (the engine's is reserved for the relative detector), so
+/// detector as the flatten trigger/target. Victims are chosen on the
+/// engine's priority structure (the relative detector never runs here), so
 /// victim selection stays unbiased over time.
 pub struct CapacityPulse {
     engine: PulseEngine,
-    priority: pulse_core::priority::PriorityStructure,
     capacity_mb: f64,
 }
 
@@ -149,17 +148,15 @@ impl CapacityPulse {
     /// PULSE scheduling with utility-ordered enforcement of `capacity_mb`.
     pub fn new(families: Vec<ModelFamily>, config: PulseConfig, capacity_mb: f64) -> Self {
         assert!(capacity_mb >= 0.0);
-        let n = families.len();
         Self {
             engine: PulseEngine::new(families, config),
-            priority: pulse_core::priority::PriorityStructure::new(n),
             capacity_mb,
         }
     }
 
     /// The per-function downgrade counts accrued so far.
-    pub fn priority(&self) -> &pulse_core::priority::PriorityStructure {
-        &self.priority
+    pub fn priority(&self) -> &PriorityStructure {
+        self.engine.priority()
     }
 }
 
@@ -188,50 +185,17 @@ impl KeepAlivePolicy for CapacityPulse {
         if current_kam_mb <= self.capacity_mb {
             return Vec::new();
         }
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        flatten_peak(
-            alive,
-            self.engine.families(),
-            &mut self.priority,
-            current_kam_mb,
-            self.capacity_mb,
-        )
-        .actions
+        self.engine
+            .flatten_to(t, alive, current_kam_mb, self.capacity_mb)
+            .actions
     }
 
     fn checkpoint_state(&self) -> Option<String> {
-        Some(
-            RecordBuilder::new("capacity-pulse")
-                .u64_list("priority", self.priority.counts())
-                .str("engine", &encode_engine_state(&self.engine))
-                .finish(),
-        )
+        Some(encode_engine_state(&self.engine))
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let rec = Record::parse(state).map_err(|e| e.to_string())?;
-        if rec.kind() != "capacity-pulse" {
-            return Err(format!(
-                "expected capacity-pulse state, got {:?}",
-                rec.kind()
-            ));
-        }
-        let counts = rec.u64_list("priority").map_err(|e| e.to_string())?;
-        if counts.len() != self.priority.len() {
-            return Err(format!(
-                "expected {} priority counts, got {}",
-                self.priority.len(),
-                counts.len()
-            ));
-        }
-        decode_engine_state(
-            &mut self.engine,
-            rec.str("engine").map_err(|e| e.to_string())?,
-        )?;
-        self.priority = PriorityStructure::from_counts(counts);
-        Ok(())
+        decode_engine_state(&mut self.engine, state)
     }
 }
 

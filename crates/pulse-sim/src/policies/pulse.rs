@@ -2,9 +2,10 @@
 //!
 //! Thin adapter around [`pulse_core::PulseEngine`]: invocations feed the
 //! inter-arrival model and return the individual-optimization schedule; the
-//! per-minute adjustment hook runs Algorithm 1 + Algorithm 2. The global
-//! layer can be disabled to reproduce Figure 4's "individual optimization
-//! only" middle ground.
+//! per-minute adjustment hook is one [`PulseEngine::check_and_flatten`] call,
+//! which runs Algorithm 1 and, only at a peak, fills `Ip` and runs
+//! Algorithm 2. The global layer can be disabled to reproduce Figure 4's
+//! "individual optimization only" middle ground.
 
 use crate::policy::KeepAlivePolicy;
 use pulse_core::global::{AliveModel, DowngradeAction};
@@ -129,19 +130,16 @@ impl KeepAlivePolicy for PulsePolicy {
         if !self.global_enabled {
             return Vec::new();
         }
-        // Fill in the invocation probabilities the individual layer derived.
-        for m in alive.iter_mut() {
-            m.invocation_probability = self.engine.invocation_probability_at(m.func, t);
-        }
-        match self.engine.check_and_flatten(
-            mem_history,
-            first_minute_of_period,
-            current_kam_mb,
-            alive,
-        ) {
-            Some(outcome) => outcome.actions,
-            None => Vec::new(),
-        }
+        self.engine
+            .check_and_flatten(
+                t,
+                mem_history,
+                first_minute_of_period,
+                current_kam_mb,
+                alive,
+            )
+            .map(|o| o.actions)
+            .unwrap_or_default()
     }
 
     fn checkpoint_state(&self) -> Option<String> {

@@ -22,14 +22,39 @@ fn main() {
     let names: Vec<String> = families.iter().map(|f| f.highest().name.clone()).collect();
     let mut engine = PulseEngine::new(families.clone(), PulseConfig::default());
 
+    // The burst hits at minute 100. Invocation histories make functions 0
+    // and 1 very likely to fire then (nine of their ten gaps were 5 minutes,
+    // and their last call was 5 minutes ago) and the rest unlikely (one of
+    // their twenty gaps was 2 minutes, and their last call was 2 minutes
+    // ago). The engine derives each model's `Ip` from these histories.
+    let t = 100;
+    for func in 0..families.len() {
+        let (gaps, last) = if func < 2 {
+            ([vec![4], vec![5; 9]].concat(), t - 5)
+        } else {
+            ([vec![2], vec![1; 19]].concat(), t - 2)
+        };
+        let mut arrival = last - gaps.iter().sum::<u64>();
+        engine.record_invocation(func, arrival);
+        for g in gaps {
+            arrival += g;
+            engine.record_invocation(func, arrival);
+        }
+    }
+    for func in [0, 2] {
+        println!(
+            "Ip of f{func} at minute {t}: {:.2}",
+            engine.invocation_probability_at(func, t)
+        );
+    }
+
     let mut alive: Vec<AliveModel> = families
         .iter()
         .enumerate()
         .map(|(func, f)| AliveModel {
             func,
             variant: f.highest_id(),
-            // Pretend functions 0 and 1 are very likely to fire this minute.
-            invocation_probability: if func < 2 { 0.9 } else { 0.05 },
+            invocation_probability: 0.0, // filled by the engine at a peak
         })
         .collect();
 
@@ -37,15 +62,15 @@ fn main() {
     let steady = demand / 2.0; // the burst doubled the steady level
     let history = vec![steady; 180];
 
-    println!("steady keep-alive memory : {steady:>9.0} MB");
+    println!("\nsteady keep-alive memory : {steady:>9.0} MB");
     println!("burst demand             : {demand:>9.0} MB");
     println!(
         "flatten target (KM_T=10%): {:>9.0} MB\n",
-        engine.detector().flatten_target(steady)
+        engine.peak_target(&history, true, demand).unwrap()
     );
 
     let outcome = engine
-        .check_and_flatten(&history, true, demand, &mut alive)
+        .check_and_flatten(t, &history, true, demand, &mut alive)
         .expect("the burst is a peak");
 
     println!("downgrade sequence (lowest utility first):");
@@ -68,7 +93,7 @@ fn main() {
         outcome.flattened
     );
     println!(
-        "high-probability functions kept their rung: f0 -> {:?}, f1 -> {:?}",
+        "rungs of the high-probability functions after flattening: f0 -> {:?}, f1 -> {:?}",
         alive.iter().find(|m| m.func == 0).map(|m| m.variant),
         alive.iter().find(|m| m.func == 1).map(|m| m.variant),
     );

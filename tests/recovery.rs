@@ -145,11 +145,20 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
     let fams = zoo12();
     let sim = Simulator::new(trace.clone(), fams.clone());
     for (name, make) in &policy_factories(&fams, &trace) {
-        let whole = sim.run(make().as_mut());
+        let mut p0 = make();
+        let whole = sim.run(p0.as_mut());
         for kill_minute in [1u64, 67, 199] {
             let mut p1 = make();
             let mut sess = sim.session(p1.as_mut());
             while sess.next_minute() < kill_minute && sess.step_minute().is_some() {}
+            if *name == "capacity-pulse" && kill_minute > 1 {
+                // The cap binds before the kill, so the checkpoint carries
+                // non-zero priority counts that the resumed run depends on.
+                assert!(
+                    sess.metrics().downgrades > 0,
+                    "{name}: no downgrade before kill {kill_minute}"
+                );
+            }
             let snap = sess
                 .snapshot()
                 .unwrap_or_else(|e| panic!("{name}: snapshot at {kill_minute}: {e}"));
@@ -160,6 +169,13 @@ fn sim_kill_restore_resume_is_bit_identical_for_every_policy() {
                 .restore_session(p2.as_mut(), &snap)
                 .unwrap_or_else(|e| panic!("{name}: restore at {kill_minute}: {e}"));
             let resumed = resumed.finish();
+            // The resumed policy ends in the uninterrupted policy's state
+            // (for capacity-pulse: the same per-function downgrade counts).
+            assert_eq!(
+                p2.checkpoint_state(),
+                p0.checkpoint_state(),
+                "{name}: policy state diverged at kill {kill_minute}"
+            );
             assert_eq!(
                 whole, resumed,
                 "{name}: metrics diverged at kill {kill_minute}"
@@ -391,7 +407,11 @@ fn snapshot_failures_are_typed_and_soft_on_both_engines() {
     drop(sess);
 
     // Version skew.
-    let skewed = snap.replacen("\"version\":1", "\"version\":77", 1);
+    let skewed = snap.replacen(
+        &format!("\"version\":{}", pulse::sim::SNAPSHOT_VERSION),
+        "\"version\":77",
+        1,
+    );
     let mut p = pulse::sim::policies::PulsePolicy::new(fams.clone(), PulseConfig::default());
     assert!(matches!(
         sim.restore_session(&mut p, &skewed),
