@@ -1,6 +1,6 @@
 //! Figure 9a: per-peak decision overhead — PULSE's greedy downgrade loop vs
 //! the exact branch-and-bound MILP on identical peak instances, plus the
-//! heap-vs-scan victim-selection comparison at fleet scale.
+//! heap victim selection at fleet scale.
 //!
 //! Run with `PULSE_BENCH_JSON=BENCH_policy_overhead.json cargo bench --bench
 //! policy_overhead` to append machine-readable points to the trajectory
@@ -9,11 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pulse_core::global::{
-    flatten_peak, flatten_peak_scratch, flatten_peak_with, AliveModel, FlattenScratch,
+    flatten_peak, flatten_peak_scratch, uv_score, AliveModel, FlattenScratch,
 };
 use pulse_core::priority::PriorityStructure;
-use pulse_core::probability::Probability;
-use pulse_core::utility::utility_value;
 use pulse_milp::MilpDowngrader;
 use pulse_models::{zoo, ModelFamily};
 
@@ -56,34 +54,26 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Victim selection at fleet scale: the re-score-every-model scan
-    // (`flatten_peak_with` scored by `Uv = Ai + Pr + Ip`) vs the epoch-lazy
-    // priority heap (both produce bit-identical actions; the heap pays
-    // `O(log n)` per eviction instead of `O(n)`).
-    let uv = |m: &AliveModel, fam: &ModelFamily, pr: f64| {
-        utility_value(
-            fam.accuracy_improvement(m.variant),
-            Probability::saturating(pr),
-            Probability::saturating(m.invocation_probability),
-        )
-    };
+    // Victim selection at fleet scale: the epoch-lazy priority heap pays
+    // `O(log n)` per eviction.
     let mut group = c.benchmark_group("flatten_victim_selection");
     for &n in &[12usize, 100, 1000] {
         let (fams, alive, total) = peak_instance(n);
         let target = total * 0.5;
-        group.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| {
-                let mut a = alive.clone();
-                let mut pr = PriorityStructure::new(n);
-                flatten_peak_with(&mut a, &fams, &mut pr, total, target, uv)
-            })
-        });
         group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, _| {
             let mut scratch = FlattenScratch::default();
             b.iter(|| {
                 let mut a = alive.clone();
                 let mut pr = PriorityStructure::new(n);
-                flatten_peak_scratch(&mut scratch, &mut a, &fams, &mut pr, total, target)
+                flatten_peak_scratch(
+                    &mut scratch,
+                    &mut a,
+                    &fams,
+                    &mut pr,
+                    total,
+                    target,
+                    uv_score,
+                )
             })
         });
     }

@@ -1,15 +1,18 @@
-//! Serving-path cost: load generation, simulated-clock replay through the
-//! serve front door, and the full live pipeline (bounded channel, producer
-//! thread, wall-clock decision timing). Throughput is per *arrival*, so the
-//! numbers read directly as sustainable requests per second.
+//! Serving-path cost: load generation, the simulated-clock run of a stream
+//! (the batch session over its binned trace, which admits every arrival
+//! through the live path's `admit_at`), and the full live pipeline (bounded
+//! channel, producer thread, wall-clock decision timing). Throughput is per
+//! *arrival*, so the numbers read directly as sustainable requests per
+//! second.
 //!
 //! Run with `PULSE_BENCH_JSON=BENCH_serve.json cargo bench --bench serve`
 //! to append machine-readable points to the trajectory file.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pulse_core::types::PulseConfig;
+use pulse_runtime::Runtime;
 use pulse_serve::loadgen::ArrivalStream;
-use pulse_serve::{replay, run_demo, DemoConfig, LoadGenConfig, LoadMode, ServeConfig};
+use pulse_serve::{run_demo, DemoConfig, LoadGenConfig, LoadMode, ServeConfig};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::PulsePolicy;
 
@@ -26,23 +29,33 @@ fn stream(rate_per_min: f64) -> ArrivalStream {
 }
 
 fn bench(c: &mut Criterion) {
-    // Load generation alone: counts plus millisecond expansion.
+    // Load generation alone: counts plus millisecond expansion (the stream
+    // expands lazily, so the bench drains it).
     let probe = stream(2_000.0);
     let mut group = c.benchmark_group("serve_loadgen");
     group.throughput(Throughput::Elements(probe.len() as u64));
-    group.bench_function("poisson_2k_per_min", |b| b.iter(|| stream(2_000.0)));
+    group.bench_function("poisson_2k_per_min", |b| {
+        b.iter(|| {
+            stream(2_000.0)
+                .arrivals()
+                .fold(0u64, |acc, a| acc ^ std::hint::black_box(a.at_ms))
+        })
+    });
     group.finish();
 
-    // Simulated-clock replay: the per-arrival engine decision cost with no
+    // Simulated clock: the per-arrival engine decision cost with no
     // transport in the way — the floor the live path is measured against.
+    // The group keeps its name so its trajectory stays continuous.
     let fams = round_robin_assignment(&pulse_models::zoo::standard(), FUNCTIONS);
     let config = ServeConfig::default().with_max_pending(4_096);
+    let rt = Runtime::new(probe.trace().clone(), fams.clone(), config.runtime);
     let mut group = c.benchmark_group("serve_replay");
     group.throughput(Throughput::Elements(probe.len() as u64));
     group.bench_function("pulse_policy", |b| {
         b.iter(|| {
             let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
-            replay(&probe, fams.clone(), &mut policy, &config, None)
+            rt.session(&mut policy, &config.plan, config.cluster)
+                .finish()
         })
     });
     group.finish();

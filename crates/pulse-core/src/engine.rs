@@ -17,9 +17,7 @@
 //! and [`PulseEngine::flatten_to`] / [`PulseEngine::flatten_with`].
 
 use crate::convert::window_to_len;
-use crate::global::{
-    flatten_peak_scratch, flatten_peak_with, AliveModel, FlattenOutcome, FlattenScratch,
-};
+use crate::global::{flatten_peak_scratch, uv_score, AliveModel, FlattenOutcome, FlattenScratch};
 use crate::individual::{IndividualOptimizer, KeepAliveSchedule};
 use crate::interarrival::{GapProbabilities, InterArrivalModel};
 use crate::peak::PeakDetector;
@@ -272,19 +270,11 @@ impl PulseEngine {
         current_kam_mb: f64,
         target_kam_mb: f64,
     ) -> FlattenOutcome {
-        self.fill_invocation_probabilities(t, alive);
-        flatten_peak_scratch(
-            &mut self.scratch,
-            alive,
-            &self.families,
-            &mut self.priority,
-            current_kam_mb,
-            target_kam_mb,
-        )
+        self.flatten_with(t, alive, current_kam_mb, target_kam_mb, uv_score)
     }
 
     /// [`Self::flatten_to`] with a caller-supplied victim score (see
-    /// [`flatten_peak_with`]), for ablations of the `Uv` terms.
+    /// [`flatten_peak_scratch`]), for ablations of the `Uv` terms.
     pub fn flatten_with(
         &mut self,
         t: Minute,
@@ -294,7 +284,8 @@ impl PulseEngine {
         score: impl Fn(&AliveModel, &ModelFamily, f64) -> f64,
     ) -> FlattenOutcome {
         self.fill_invocation_probabilities(t, alive);
-        flatten_peak_with(
+        flatten_peak_scratch(
+            &mut self.scratch,
             alive,
             &self.families,
             &mut self.priority,

@@ -19,9 +19,10 @@
 //! unchanged re-keys only the touched entry
 //! ([`PriorityStructure::normalized_single`]), while a bump that moves them
 //! rebuilds the heap wholesale. Both regimes compute bit-identical scores to
-//! the linear scan of [`flatten_peak_with`] under the same `Uv` score, so the
-//! chosen victims, actions, and final memory are bit-identical too (tests
-//! pin this).
+//! a linear scan that re-scores every model per action, so the chosen
+//! victims, actions, and final memory are bit-identical too (the scan lives
+//! on as this module's test reference, which pins this for the paper's `Uv`
+//! and for ablation scores alike).
 
 use crate::priority::PriorityStructure;
 use crate::probability::Probability;
@@ -116,12 +117,13 @@ pub fn flatten_peak(
         priority,
         current_kam_mb,
         target_kam_mb,
+        uv_score,
     )
 }
 
-/// The paper's `Uv = Ai + Pr + Ip` victim score, shared by the heap loop and
-/// its duplicate-id fallback scan.
-fn utility_score(m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
+/// The paper's victim score `Uv = Ai + Pr + Ip` of one alive model, given
+/// its family and normalized priority `pr`.
+pub fn uv_score(m: &AliveModel, fam: &ModelFamily, pr: f64) -> f64 {
     utility_value(
         fam.accuracy_improvement(m.variant),
         // Normalized priorities are in [0, 1] by construction.
@@ -200,10 +202,11 @@ fn funcs_unique(seen: &mut Vec<bool>, alive: &[AliveModel], n_models: usize) -> 
 
 /// Give position `pos` a fresh stamp (invalidating any queued entry for it)
 /// and queue its current score.
-fn requeue(
+fn requeue<S: Fn(&AliveModel, &ModelFamily, f64) -> f64>(
     scratch: &mut FlattenScratch,
     alive: &[AliveModel],
     families: &[ModelFamily],
+    score: &S,
     pos: usize,
     tick: &mut u64,
 ) {
@@ -211,7 +214,7 @@ fn requeue(
     scratch.stamps[pos] = *tick;
     let m = &alive[pos];
     scratch.heap.push(Reverse(VictimEntry {
-        score: utility_score(m, &families[m.func], scratch.pr[m.func]),
+        score: score(m, &families[m.func], scratch.pr[m.func]),
         pos,
         stamp: *tick,
     }));
@@ -219,10 +222,11 @@ fn requeue(
 
 /// Rebuild the heap and stamps wholesale from the current alive set and
 /// normalized priorities (a new epoch).
-fn rebuild_heap(
+fn rebuild_heap<S: Fn(&AliveModel, &ModelFamily, f64) -> f64>(
     scratch: &mut FlattenScratch,
     alive: &[AliveModel],
     families: &[ModelFamily],
+    score: &S,
     tick: &mut u64,
 ) {
     *tick += 1;
@@ -231,7 +235,7 @@ fn rebuild_heap(
     scratch.stamps.resize(alive.len(), *tick);
     for (pos, m) in alive.iter().enumerate() {
         scratch.heap.push(Reverse(VictimEntry {
-            score: utility_score(m, &families[m.func], scratch.pr[m.func]),
+            score: score(m, &families[m.func], scratch.pr[m.func]),
             pos,
             stamp: *tick,
         }));
@@ -253,30 +257,24 @@ fn pop_victim(
 }
 
 /// [`flatten_peak`] with a caller-owned [`FlattenScratch`], so repeated
-/// flattening passes reuse the heap and buffers. This is the production
-/// `O(log n)`-per-action path; its victims, actions, and bookkeeping are
-/// bit-identical to the linear scan of [`flatten_peak_with`] under the same
-/// `Uv` score. Alive sets with duplicate or untracked function ids (never
-/// produced by the engines) fall back to that scan, whose semantics under
-/// those inputs are the contract.
-pub fn flatten_peak_scratch(
+/// flattening passes reuse the heap and buffers, and a caller-supplied
+/// victim `score` — the model with the **lowest** score is downgraded
+/// first. `score` receives the alive entry, its family, and its normalized
+/// priority, and must be a pure function of them; [`uv_score`] is the
+/// paper's, and the ablation experiments pass variants that drop `Uv`
+/// terms. Each action costs `O(log n)`. An alive set with duplicate
+/// function ids (never produced by the engines) rebuilds the heap on every
+/// pass, since one bump then re-scores several entries.
+pub fn flatten_peak_scratch<S: Fn(&AliveModel, &ModelFamily, f64) -> f64>(
     scratch: &mut FlattenScratch,
     alive: &mut Vec<AliveModel>,
     families: &[ModelFamily],
     priority: &mut PriorityStructure,
     current_kam_mb: f64,
     target_kam_mb: f64,
+    score: S,
 ) -> FlattenOutcome {
-    if !funcs_unique(&mut scratch.seen, alive, priority.len()) {
-        return flatten_peak_with(
-            alive,
-            families,
-            priority,
-            current_kam_mb,
-            target_kam_mb,
-            utility_score,
-        );
-    }
+    let rekey_one = funcs_unique(&mut scratch.seen, alive, priority.len());
     let mut kam = current_kam_mb;
     let mut actions = Vec::new();
     let mut built = false;
@@ -293,11 +291,11 @@ pub fn flatten_peak_scratch(
             }
             bounds = hist_bounds(&scratch.hist);
             scratch.pr = priority.normalized();
-            rebuild_heap(scratch, alive, families, &mut tick);
+            rebuild_heap(scratch, alive, families, &score, &mut tick);
         } else if stale_bounds {
             stale_bounds = false;
             scratch.pr = priority.normalized();
-            rebuild_heap(scratch, alive, families, &mut tick);
+            rebuild_heap(scratch, alive, families, &score, &mut tick);
         }
 
         let Some((idx, func, from)) = pop_victim(scratch, alive) else {
@@ -329,8 +327,9 @@ pub fn flatten_peak_scratch(
 
         // Maintain the count histogram; if the bump moved Equation 1's
         // bounds, every normalized priority may have shifted — flag a
-        // wholesale rebuild. Otherwise only this function's priority (and
-        // the touched position's score) changed: O(log n) re-key.
+        // wholesale rebuild. Otherwise only this function's priority (and,
+        // with unique ids, only the touched position's score) changed:
+        // O(log n) re-key.
         let new_count = priority.count(func);
         let old_count = new_count - 1;
         if let Some(n) = scratch.hist.get_mut(&old_count) {
@@ -341,94 +340,18 @@ pub fn flatten_peak_scratch(
         }
         *scratch.hist.entry(new_count).or_insert(0) += 1;
         let new_bounds = hist_bounds(&scratch.hist);
-        if new_bounds == bounds {
+        if rekey_one && new_bounds == bounds {
             scratch.pr[func] = priority.normalized_single(func, bounds.0, bounds.1);
             // Position `idx` now holds either the downgraded victim (new
             // variant, new priority) or the tail element `swap_remove` moved
             // in (new position): either way it needs a fresh stamp + entry.
             if !evicted || idx < alive.len() {
-                requeue(scratch, alive, families, idx, &mut tick);
+                requeue(scratch, alive, families, &score, idx, &mut tick);
             }
         } else {
             bounds = new_bounds;
             stale_bounds = true;
         }
-    }
-
-    // Algorithm 2 postcondition: the loop only exits at the target or with
-    // every container evicted; bookkeeping must agree.
-    debug_assert!(
-        kam <= target_kam_mb || alive.is_empty(),
-        "flatten loop exited above target with models still alive"
-    );
-    debug_assert!(
-        kam <= current_kam_mb,
-        "flattening must not increase keep-alive memory"
-    );
-    FlattenOutcome {
-        actions,
-        final_kam_mb: kam,
-        flattened: kam <= target_kam_mb,
-    }
-}
-
-/// [`flatten_peak`] with a caller-supplied victim-scoring function — the
-/// model with the **lowest** score is downgraded first. `score` receives
-/// the alive entry, its family, and its normalized priority. Used by the
-/// ablation experiments to isolate the contribution of each `Uv` component
-/// (Ai-only, Ai+Ip, full Uv, …); production callers should use
-/// [`flatten_peak`].
-pub fn flatten_peak_with(
-    alive: &mut Vec<AliveModel>,
-    families: &[ModelFamily],
-    priority: &mut PriorityStructure,
-    current_kam_mb: f64,
-    target_kam_mb: f64,
-    score: impl Fn(&AliveModel, &ModelFamily, f64) -> f64,
-) -> FlattenOutcome {
-    let mut kam = current_kam_mb;
-    let mut actions = Vec::new();
-
-    while kam > target_kam_mb && !alive.is_empty() {
-        // "Normalise the priority structure" — once per loop iteration.
-        let pr = priority.normalized();
-
-        // "For every model that is kept-alive in t: compute Ai and Pr;
-        //  Uv ← Ai + Pr + Ip" — then downgrade the minimum. `total_cmp`
-        // gives a total order even for a pathological NaN score from a
-        // caller-supplied ablation closure (NaN sorts above every number,
-        // so it is never chosen as the minimum victim over a real score).
-        let scored = alive
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i, score(m, &families[m.func], pr[m.func])))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        let Some((idx, _)) = scored else {
-            break; // unreachable: the loop condition keeps `alive` non-empty
-        };
-
-        let func = alive[idx].func;
-        let from = alive[idx].variant;
-        let fam = &families[func];
-        if from > 0 {
-            let freed = fam.variant(from).memory_mb - fam.variant(from - 1).memory_mb;
-            // Algorithm 2 invariant: ladders are ordered by memory, so a
-            // one-rung downgrade never *adds* memory.
-            debug_assert!(freed >= 0.0, "downgrade must not grow memory: {freed}");
-            alive[idx].variant = from - 1;
-            kam -= freed;
-            actions.push(DowngradeAction::Downgrade {
-                func,
-                from,
-                to: from - 1,
-            });
-        } else {
-            kam -= fam.variant(0).memory_mb;
-            alive.swap_remove(idx);
-            actions.push(DowngradeAction::Evict { func, from });
-        }
-        // "Update Priority Structure with +1 for m".
-        priority.bump(func);
     }
 
     // Algorithm 2 postcondition: the loop only exits at the target or with
@@ -455,29 +378,51 @@ mod tests {
     use super::*;
     use pulse_models::zoo;
 
-    /// The linear-scan reference the heap path is pinned against:
-    /// [`flatten_peak_with`] scored by the public `Uv = Ai + Pr + Ip`.
+    /// The linear-scan reference the heap path is pinned against: Algorithm
+    /// 2 as the paper states it — normalize the priority structure and
+    /// re-score every alive model on each pass, then downgrade the first
+    /// minimum.
     fn scan_reference(
         alive: &mut Vec<AliveModel>,
         families: &[ModelFamily],
         priority: &mut PriorityStructure,
         current_kam_mb: f64,
         target_kam_mb: f64,
+        score: impl Fn(&AliveModel, &ModelFamily, f64) -> f64,
     ) -> FlattenOutcome {
-        flatten_peak_with(
-            alive,
-            families,
-            priority,
-            current_kam_mb,
-            target_kam_mb,
-            |m, fam, pr| {
-                utility_value(
-                    fam.accuracy_improvement(m.variant),
-                    Probability::saturating(pr),
-                    Probability::saturating(m.invocation_probability),
-                )
-            },
-        )
+        let mut kam = current_kam_mb;
+        let mut actions = Vec::new();
+        while kam > target_kam_mb && !alive.is_empty() {
+            let pr = priority.normalized();
+            let (idx, _) = alive
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (i, score(m, &families[m.func], pr[m.func])))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            let func = alive[idx].func;
+            let from = alive[idx].variant;
+            let fam = &families[func];
+            if from > 0 {
+                kam -= fam.variant(from).memory_mb - fam.variant(from - 1).memory_mb;
+                alive[idx].variant = from - 1;
+                actions.push(DowngradeAction::Downgrade {
+                    func,
+                    from,
+                    to: from - 1,
+                });
+            } else {
+                kam -= fam.variant(0).memory_mb;
+                alive.swap_remove(idx);
+                actions.push(DowngradeAction::Evict { func, from });
+            }
+            priority.bump(func);
+        }
+        FlattenOutcome {
+            actions,
+            final_kam_mb: kam,
+            flattened: kam <= target_kam_mb,
+        }
     }
 
     fn families() -> Vec<ModelFamily> {
@@ -662,10 +607,20 @@ mod tests {
         assert_eq!(a.flattened, b.flattened);
     }
 
+    /// The paper's score and the ablation-style scores that drop `Uv` terms
+    /// (the last three tie often, exercising the first-minimum rule).
+    const SCORES: [fn(&AliveModel, &ModelFamily, f64) -> f64; 4] = [
+        uv_score,
+        |m, fam, _| fam.accuracy_improvement(m.variant) + m.invocation_probability,
+        |m, fam, pr| fam.accuracy_improvement(m.variant) + pr,
+        |m, fam, _| fam.accuracy_improvement(m.variant),
+    ];
+
     /// The heap-based production path must be bit-identical to the linear
     /// scan — victims, actions, final memory, and priority bumps — across
-    /// random fleets, alive subsets, Ip values, pre-seeded priorities, and
-    /// targets (including unsatisfiable ones that drain the alive set).
+    /// random fleets, alive subsets, Ip values, pre-seeded priorities,
+    /// targets (including unsatisfiable ones that drain the alive set), and
+    /// victim scores.
     #[test]
     fn heap_path_matches_scan_reference_bitwise() {
         let zoo_all = [
@@ -705,9 +660,10 @@ mod tests {
                 0 => -1.0,
                 f => kam * (f as f64 / 5.0),
             };
+            let score = SCORES[case as usize % SCORES.len()];
             let mut pr_heap = pr_scan.clone();
             let mut alive_heap = alive_scan.clone();
-            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target);
+            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target, score);
             let heap = flatten_peak_scratch(
                 &mut scratch,
                 &mut alive_heap,
@@ -715,6 +671,7 @@ mod tests {
                 &mut pr_heap,
                 kam,
                 target,
+                score,
             );
             assert_outcomes_identical(&scan, &heap);
             assert_eq!(alive_scan, alive_heap, "case {case}");
@@ -740,7 +697,7 @@ mod tests {
             let mut alive_heap = alive_scan.clone();
             let kam = total_mem(&alive_scan, &fams);
             let target = kam * (rng.below(10) as f64 / 10.0);
-            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target);
+            let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, target, uv_score);
             let heap = flatten_peak_scratch(
                 &mut scratch,
                 &mut alive_heap,
@@ -748,6 +705,7 @@ mod tests {
                 &mut pr_heap,
                 kam,
                 target,
+                uv_score,
             );
             assert_outcomes_identical(&scan, &heap);
             assert_eq!(pr_scan, pr_heap, "peak {peak}");
@@ -755,7 +713,8 @@ mod tests {
     }
 
     /// Duplicate function ids are outside the engines' contract; the heap
-    /// path must detect them and produce the scan's semantics anyway.
+    /// path must detect them (and rebuild every pass) to produce the scan's
+    /// semantics anyway.
     #[test]
     fn duplicate_funcs_fall_back_to_scan_semantics() {
         let fams = families();
@@ -783,7 +742,14 @@ mod tests {
         let mut pr_scan = PriorityStructure::new(fams.len());
         let mut pr_heap = PriorityStructure::new(fams.len());
         let kam = total_mem(&alive_scan, &fams);
-        let scan = scan_reference(&mut alive_scan, &fams, &mut pr_scan, kam, kam * 0.3);
+        let scan = scan_reference(
+            &mut alive_scan,
+            &fams,
+            &mut pr_scan,
+            kam,
+            kam * 0.3,
+            uv_score,
+        );
         let heap = flatten_peak(&mut alive_heap, &fams, &mut pr_heap, kam, kam * 0.3);
         assert_outcomes_identical(&scan, &heap);
         assert_eq!(alive_scan, alive_heap);

@@ -21,8 +21,8 @@
 //! every variant (the schema self-check below round-trips each one), which
 //! is what lets offline tooling consume traces without this crate.
 
-use crate::json::{parse_object, push_f64, push_json_str, Fields, ParseError};
-use std::fmt::Write as _;
+use crate::json::ParseError;
+use crate::record::{Record, RecordBuilder};
 
 /// Which layer issued a downgrade/eviction action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,7 +240,7 @@ pub enum ObsEvent {
         minutes: u64,
         /// Functions behind the front door.
         functions: usize,
-        /// Load/transport mode label, e.g. `"live"`, `"replay"`, `"demo"`.
+        /// Load/transport mode label, e.g. `"live"`, `"demo"`.
         mode: String,
     },
     /// The bounded ingress channel filled up and the front door shed
@@ -319,29 +319,22 @@ impl ObsEvent {
         }
     }
 
-    /// Serialize to one flat JSON object (no trailing newline).
+    /// Serialize to one flat JSON object (no trailing newline), written
+    /// with the flat-record codec.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        s.push_str("{\"type\":\"");
-        s.push_str(self.kind());
-        s.push('"');
+        let r = RecordBuilder::new(self.kind());
         match self {
-            ObsEvent::RunStart { label } => {
-                s.push_str(",\"label\":");
-                push_json_str(&mut s, label);
-            }
+            ObsEvent::RunStart { label } => r.str("label", label),
             ObsEvent::Adjust {
                 minute,
                 requested,
                 applied,
                 keepalive_mb,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"requested\":{requested},\"applied\":{applied},\"keepalive_mb\":"
-                );
-                push_f64(&mut s, *keepalive_mb);
-            }
+            } => r
+                .u64("minute", *minute)
+                .usize("requested", *requested)
+                .usize("applied", *applied)
+                .f64("keepalive_mb", *keepalive_mb),
             ObsEvent::Downgrade {
                 minute,
                 func,
@@ -349,116 +342,101 @@ impl ObsEvent {
                 to,
                 source,
                 applied,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"func\":{func},\"from\":{from},\"to\":{to},\"source\":\"{}\",\"applied\":{applied}",
-                    source.as_str()
-                );
-            }
+            } => r
+                .u64("minute", *minute)
+                .usize("func", *func)
+                .usize("from", *from)
+                .usize("to", *to)
+                .str("source", source.as_str())
+                .bool("applied", *applied),
             ObsEvent::Evict {
                 minute,
                 func,
                 from,
                 source,
                 applied,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"func\":{func},\"from\":{from},\"source\":\"{}\",\"applied\":{applied}",
-                    source.as_str()
-                );
-            }
+            } => r
+                .u64("minute", *minute)
+                .usize("func", *func)
+                .usize("from", *from)
+                .str("source", source.as_str())
+                .bool("applied", *applied),
             ObsEvent::Serve {
                 minute,
                 func,
                 requests,
                 cold_starts,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"func\":{func},\"requests\":{requests},\"cold_starts\":{cold_starts}"
-                );
-            }
-            ObsEvent::Arrival { at_ms, func, warm } => {
-                let _ = write!(s, ",\"at_ms\":{at_ms},\"func\":{func},\"warm\":{warm}");
-            }
-            ObsEvent::Shed { at_ms, func } => {
-                let _ = write!(s, ",\"at_ms\":{at_ms},\"func\":{func}");
+            } => r
+                .u64("minute", *minute)
+                .usize("func", *func)
+                .u64("requests", *requests)
+                .u64("cold_starts", *cold_starts),
+            ObsEvent::Arrival { at_ms, func, warm } => r
+                .u64("at_ms", *at_ms)
+                .usize("func", *func)
+                .bool("warm", *warm),
+            ObsEvent::Shed { at_ms, func } | ObsEvent::Reap { at_ms, func } => {
+                r.u64("at_ms", *at_ms).usize("func", *func)
             }
             ObsEvent::Degrade {
                 at_ms,
                 func,
                 from,
                 to,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at_ms\":{at_ms},\"func\":{func},\"from\":{from},\"to\":{to}"
-                );
-            }
-            ObsEvent::Reap { at_ms, func } => {
-                let _ = write!(s, ",\"at_ms\":{at_ms},\"func\":{func}");
-            }
+            } => r
+                .u64("at_ms", *at_ms)
+                .usize("func", *func)
+                .usize("from", *from)
+                .usize("to", *to),
             ObsEvent::Watchdog { minute, fallback } => {
-                let _ = write!(s, ",\"minute\":{minute},\"fallback\":{fallback}");
+                r.u64("minute", *minute).bool("fallback", *fallback)
             }
             ObsEvent::Bill {
                 minute,
                 keepalive_mb,
                 cost_usd,
-            } => {
-                let _ = write!(s, ",\"minute\":{minute},\"keepalive_mb\":");
-                push_f64(&mut s, *keepalive_mb);
-                s.push_str(",\"cost_usd\":");
-                push_f64(&mut s, *cost_usd);
-            }
-            ObsEvent::NodeDown { minute, node, kind } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"node\":{node},\"kind\":\"{}\"",
-                    kind.as_str()
-                );
-            }
+            } => r
+                .u64("minute", *minute)
+                .f64("keepalive_mb", *keepalive_mb)
+                .f64("cost_usd", *cost_usd),
+            ObsEvent::NodeDown { minute, node, kind } => r
+                .u64("minute", *minute)
+                .usize("node", *node)
+                .str("kind", kind.as_str()),
             ObsEvent::NodeRecovered { minute, node } => {
-                let _ = write!(s, ",\"minute\":{minute},\"node\":{node}");
+                r.u64("minute", *minute).usize("node", *node)
             }
             ObsEvent::Migrate {
                 minute,
                 func,
                 from_node,
                 to_node,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"func\":{func},\"from_node\":{from_node},\"to_node\":{to_node}"
-                );
-            }
+            } => r
+                .u64("minute", *minute)
+                .usize("func", *func)
+                .usize("from_node", *from_node)
+                .usize("to_node", *to_node),
             ObsEvent::ServeStart {
                 minutes,
                 functions,
                 mode,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minutes\":{minutes},\"functions\":{functions},\"mode\":"
-                );
-                push_json_str(&mut s, mode);
-            }
+            } => r
+                .u64("minutes", *minutes)
+                .usize("functions", *functions)
+                .str("mode", mode),
             ObsEvent::ServeBackpressure { at_ms, dropped } => {
-                let _ = write!(s, ",\"at_ms\":{at_ms},\"dropped\":{dropped}");
+                r.u64("at_ms", *at_ms).u64("dropped", *dropped)
             }
             ObsEvent::ServeTick {
                 minute,
                 admitted,
                 shed,
                 queue_depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"minute\":{minute},\"admitted\":{admitted},\"shed\":{shed},\"queue_depth\":{queue_depth}"
-                );
-            }
+            } => r
+                .u64("minute", *minute)
+                .u64("admitted", *admitted)
+                .u64("shed", *shed)
+                .usize("queue_depth", *queue_depth),
             ObsEvent::ServeSummary {
                 admitted,
                 shed,
@@ -466,132 +444,126 @@ impl ObsEvent {
                 p99_decision_ns,
                 wall_ms,
                 rps,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"admitted\":{admitted},\"shed\":{shed},\"p50_decision_ns\":{p50_decision_ns},\"p99_decision_ns\":{p99_decision_ns},\"wall_ms\":{wall_ms},\"rps\":"
-                );
-                push_f64(&mut s, *rps);
-            }
-            ObsEvent::JournalEpoch { epoch } => {
-                let _ = write!(s, ",\"epoch\":{epoch}");
-            }
-            ObsEvent::Checkpoint { seq, snapshot } => {
-                let _ = write!(s, ",\"seq\":{seq},\"snapshot\":");
-                push_json_str(&mut s, snapshot);
-            }
+            } => r
+                .u64("admitted", *admitted)
+                .u64("shed", *shed)
+                .u64("p50_decision_ns", *p50_decision_ns)
+                .u64("p99_decision_ns", *p99_decision_ns)
+                .u64("wall_ms", *wall_ms)
+                .f64("rps", *rps),
+            ObsEvent::JournalEpoch { epoch } => r.u64("epoch", *epoch),
+            ObsEvent::Checkpoint { seq, snapshot } => r.u64("seq", *seq).str("snapshot", snapshot),
         }
-        s.push('}');
-        s
+        .finish()
     }
 
     /// Parse one JSONL line back into an event — the exact inverse of
     /// [`Self::to_json`] (and tolerant of field reordering).
     pub fn from_json(line: &str) -> Result<Self, ParseError> {
-        let fields = Fields(parse_object(line)?);
-        match fields.str("type")? {
+        let r = Record::parse(line)?;
+        match r.kind() {
             "run_start" => Ok(ObsEvent::RunStart {
-                label: fields.str("label")?.to_string(),
+                label: r.str("label")?.to_string(),
             }),
             "adjust" => Ok(ObsEvent::Adjust {
-                minute: fields.u64("minute")?,
-                requested: fields.usize("requested")?,
-                applied: fields.usize("applied")?,
-                keepalive_mb: fields.f64("keepalive_mb")?,
+                minute: r.u64("minute")?,
+                requested: r.usize("requested")?,
+                applied: r.usize("applied")?,
+                keepalive_mb: r.f64("keepalive_mb")?,
             }),
             "downgrade" => Ok(ObsEvent::Downgrade {
-                minute: fields.u64("minute")?,
-                func: fields.usize("func")?,
-                from: fields.usize("from")?,
-                to: fields.usize("to")?,
-                source: ActionSource::parse(fields.str("source")?)?,
-                applied: fields.bool("applied")?,
+                minute: r.u64("minute")?,
+                func: r.usize("func")?,
+                from: r.usize("from")?,
+                to: r.usize("to")?,
+                source: ActionSource::parse(r.str("source")?)?,
+                applied: r.bool("applied")?,
             }),
             "evict" => Ok(ObsEvent::Evict {
-                minute: fields.u64("minute")?,
-                func: fields.usize("func")?,
-                from: fields.usize("from")?,
-                source: ActionSource::parse(fields.str("source")?)?,
-                applied: fields.bool("applied")?,
+                minute: r.u64("minute")?,
+                func: r.usize("func")?,
+                from: r.usize("from")?,
+                source: ActionSource::parse(r.str("source")?)?,
+                applied: r.bool("applied")?,
             }),
             "serve" => Ok(ObsEvent::Serve {
-                minute: fields.u64("minute")?,
-                func: fields.usize("func")?,
-                requests: fields.u64("requests")?,
-                cold_starts: fields.u64("cold_starts")?,
+                minute: r.u64("minute")?,
+                func: r.usize("func")?,
+                requests: r.u64("requests")?,
+                cold_starts: r.u64("cold_starts")?,
             }),
             "arrival" => Ok(ObsEvent::Arrival {
-                at_ms: fields.u64("at_ms")?,
-                func: fields.usize("func")?,
-                warm: fields.bool("warm")?,
+                at_ms: r.u64("at_ms")?,
+                func: r.usize("func")?,
+                warm: r.bool("warm")?,
             }),
             "shed" => Ok(ObsEvent::Shed {
-                at_ms: fields.u64("at_ms")?,
-                func: fields.usize("func")?,
+                at_ms: r.u64("at_ms")?,
+                func: r.usize("func")?,
             }),
             "degrade" => Ok(ObsEvent::Degrade {
-                at_ms: fields.u64("at_ms")?,
-                func: fields.usize("func")?,
-                from: fields.usize("from")?,
-                to: fields.usize("to")?,
+                at_ms: r.u64("at_ms")?,
+                func: r.usize("func")?,
+                from: r.usize("from")?,
+                to: r.usize("to")?,
             }),
             "reap" => Ok(ObsEvent::Reap {
-                at_ms: fields.u64("at_ms")?,
-                func: fields.usize("func")?,
+                at_ms: r.u64("at_ms")?,
+                func: r.usize("func")?,
             }),
             "watchdog" => Ok(ObsEvent::Watchdog {
-                minute: fields.u64("minute")?,
-                fallback: fields.bool("fallback")?,
+                minute: r.u64("minute")?,
+                fallback: r.bool("fallback")?,
             }),
             "bill" => Ok(ObsEvent::Bill {
-                minute: fields.u64("minute")?,
-                keepalive_mb: fields.f64("keepalive_mb")?,
-                cost_usd: fields.f64("cost_usd")?,
+                minute: r.u64("minute")?,
+                keepalive_mb: r.f64("keepalive_mb")?,
+                cost_usd: r.f64("cost_usd")?,
             }),
             "node_down" => Ok(ObsEvent::NodeDown {
-                minute: fields.u64("minute")?,
-                node: fields.usize("node")?,
-                kind: NodeFaultClass::parse(fields.str("kind")?)?,
+                minute: r.u64("minute")?,
+                node: r.usize("node")?,
+                kind: NodeFaultClass::parse(r.str("kind")?)?,
             }),
             "node_recovered" => Ok(ObsEvent::NodeRecovered {
-                minute: fields.u64("minute")?,
-                node: fields.usize("node")?,
+                minute: r.u64("minute")?,
+                node: r.usize("node")?,
             }),
             "migrate" => Ok(ObsEvent::Migrate {
-                minute: fields.u64("minute")?,
-                func: fields.usize("func")?,
-                from_node: fields.usize("from_node")?,
-                to_node: fields.usize("to_node")?,
+                minute: r.u64("minute")?,
+                func: r.usize("func")?,
+                from_node: r.usize("from_node")?,
+                to_node: r.usize("to_node")?,
             }),
             "serve_start" => Ok(ObsEvent::ServeStart {
-                minutes: fields.u64("minutes")?,
-                functions: fields.usize("functions")?,
-                mode: fields.str("mode")?.to_string(),
+                minutes: r.u64("minutes")?,
+                functions: r.usize("functions")?,
+                mode: r.str("mode")?.to_string(),
             }),
             "serve_backpressure" => Ok(ObsEvent::ServeBackpressure {
-                at_ms: fields.u64("at_ms")?,
-                dropped: fields.u64("dropped")?,
+                at_ms: r.u64("at_ms")?,
+                dropped: r.u64("dropped")?,
             }),
             "serve_tick" => Ok(ObsEvent::ServeTick {
-                minute: fields.u64("minute")?,
-                admitted: fields.u64("admitted")?,
-                shed: fields.u64("shed")?,
-                queue_depth: fields.usize("queue_depth")?,
+                minute: r.u64("minute")?,
+                admitted: r.u64("admitted")?,
+                shed: r.u64("shed")?,
+                queue_depth: r.usize("queue_depth")?,
             }),
             "serve_summary" => Ok(ObsEvent::ServeSummary {
-                admitted: fields.u64("admitted")?,
-                shed: fields.u64("shed")?,
-                p50_decision_ns: fields.u64("p50_decision_ns")?,
-                p99_decision_ns: fields.u64("p99_decision_ns")?,
-                wall_ms: fields.u64("wall_ms")?,
-                rps: fields.f64("rps")?,
+                admitted: r.u64("admitted")?,
+                shed: r.u64("shed")?,
+                p50_decision_ns: r.u64("p50_decision_ns")?,
+                p99_decision_ns: r.u64("p99_decision_ns")?,
+                wall_ms: r.u64("wall_ms")?,
+                rps: r.f64("rps")?,
             }),
             "journal_epoch" => Ok(ObsEvent::JournalEpoch {
-                epoch: fields.u64("epoch")?,
+                epoch: r.u64("epoch")?,
             }),
             "checkpoint" => Ok(ObsEvent::Checkpoint {
-                seq: fields.u64("seq")?,
-                snapshot: fields.str("snapshot")?.to_string(),
+                seq: r.u64("seq")?,
+                snapshot: r.str("snapshot")?.to_string(),
             }),
             other => Err(ParseError::new(format!("unknown event type {other:?}"))),
         }

@@ -1,10 +1,10 @@
 //! A public flat-record codec for checkpoint documents.
 //!
 //! Snapshots serialize as multi-line documents of typed flat records — one
-//! JSON object per line with a `"type"` discriminator, the same wire shape
-//! as [`crate::ObsEvent`] but open-schema: the engines define their own
-//! record kinds (schedule rows, queue contents, RNG cursors) without this
-//! crate knowing them. [`RecordBuilder`] writes a record, [`Record`] parses
+//! JSON object per line with a `"type"` discriminator, the wire shape
+//! [`crate::ObsEvent`]'s JSONL is written in too, but open-schema: the
+//! engines define their own record kinds (schedule rows, queue contents,
+//! RNG cursors) without this crate knowing them. [`RecordBuilder`] writes a record, [`Record`] parses
 //! one back with typed field access; numeric series pack as comma-joined
 //! shortest-round-trip values inside a single string field, so a
 //! 10,000-entry event queue is one line, and every `f64` survives the trip

@@ -79,7 +79,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultRates, RetryPolicy};
 pub use fleet::{FleetConfig, MigrationConfig};
 pub use metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 pub use node::{NodeFault, NodeFaultKind, NodeFaultPlan, NodeHealth, NodeSpec};
-pub use runtime::{arrival_times_in_minute, Runtime, RuntimeConfig, RuntimeSession};
+pub use runtime::{trace_arrivals, Runtime, RuntimeConfig, RuntimeSession};
 
 /// Milliseconds per simulated minute.
 pub const MS_PER_MINUTE: u64 = 60_000;

@@ -78,7 +78,7 @@ use crate::fleet::FleetConfig;
 use crate::metrics::{NodeSummary, RequestRecord, RuntimeSummary};
 use crate::node::{NodeFaultKind, NodeHealth, NodeSpec};
 use crate::MS_PER_MINUTE;
-use pulse_core::global::{flatten_peak_scratch, DowngradeAction, FlattenScratch};
+use pulse_core::global::{flatten_peak_scratch, uv_score, DowngradeAction, FlattenScratch};
 use pulse_core::priority::PriorityStructure;
 use pulse_core::schedule::ScheduleLedger;
 use pulse_models::{CostModel, ModelFamily, VariantId};
@@ -221,15 +221,50 @@ fn scale_ms(ms: u64, factor: f64) -> u64 {
 
 /// Millisecond timestamps at which `count` same-minute invocations of a
 /// function are admitted: spread evenly across the minute with a fixed
-/// stride, offset ≥ 1 ms so the minute tick always precedes them. This is
-/// the *only* trace-to-timestamp expansion in the repo — [`Runtime`] seeds
-/// its sessions with it, and external admitters (the `pulse-serve` load
-/// generator) reuse it so a binned trace and its expanded stream describe
-/// the same run bit-for-bit.
-pub fn arrival_times_in_minute(minute: u64, count: u64) -> impl Iterator<Item = u64> {
+/// stride, offset ≥ 1 ms so the minute tick always precedes them.
+fn arrival_times_in_minute(minute: u64, count: u64) -> impl Iterator<Item = u64> {
     let stride = (MS_PER_MINUTE - 2).checked_div(count).unwrap_or(0);
     (0..count).map(move |k| minute * MS_PER_MINUTE + 1 + k * stride)
 }
+
+/// Expand a binned trace into its `(at_ms, func)` arrivals, in the
+/// canonical `(minute, func, k)` order: a function's invocations in one
+/// minute are spread evenly across it with a fixed stride, offset ≥ 1 ms so
+/// the minute tick always precedes them. This is the *only*
+/// trace-to-arrival expansion in the repo:
+/// [`Runtime::session`] admits exactly this sequence, and external
+/// admitters (the `pulse-serve` load generator) reuse it, so a binned trace
+/// and its expanded stream describe the same run bit-for-bit.
+pub fn trace_arrivals(trace: &Trace) -> impl Iterator<Item = (u64, usize)> + '_ {
+    (0..trace.minutes() as u64).flat_map(move |m| {
+        trace
+            .functions()
+            .iter()
+            .enumerate()
+            .flat_map(move |(f, ft)| {
+                arrival_times_in_minute(m, u64::from(ft.at(m))).map(move |at| (at, f))
+            })
+    })
+}
+
+/// The engine's per-request state beside its [`RequestRecord`]. One exists
+/// per request, so it is kept within 16 bytes (checked below).
+#[derive(Debug, Clone, Copy, Default)]
+struct ReqState {
+    /// Variant serving the request (re-pointed on ladder degradation).
+    variant: VariantId,
+    /// Crash retries consumed.
+    retries: u32,
+    /// Execution generation: bumped (wrapping) when a node crash aborts the
+    /// in-flight execution, so its already-queued completion is ignored.
+    /// A stale completion aliases a live one only after 65,536 node crashes
+    /// within one execution's duration. Never bumped outside node-fault runs
+    /// (bit-identity contract).
+    gen: u16,
+    /// Whether the request reached a terminal state (done or failed).
+    done: bool,
+}
+const _: () = assert!(std::mem::size_of::<ReqState>() <= 16);
 
 /// The mutable machinery of one execution: event queue, per-function and
 /// per-request state, samplers, and the summary being accumulated. Grouping
@@ -241,16 +276,8 @@ struct RunState<'a> {
     /// substrate (same semantics as the minute engine's ledger).
     ledger: ScheduleLedger,
     records: Vec<RequestRecord>,
-    /// Variant serving each request (re-pointed on ladder degradation).
-    req_warm_variant: Vec<VariantId>,
-    /// Crash retries consumed per request.
-    req_retries: Vec<u32>,
-    /// Whether each request reached a terminal state (done or failed).
-    req_done: Vec<bool>,
-    /// Execution generation per request: bumped when a node crash aborts the
-    /// in-flight execution, so its already-queued completion is ignored.
-    /// Never bumped outside node-fault runs (bit-identity contract).
-    req_gen: Vec<u64>,
+    /// Engine-side state of each request, indexed like `records`.
+    reqs: Vec<ReqState>,
     summary: RuntimeSummary,
     sampler: DurationSampler,
     injector: FaultInjector,
@@ -299,57 +326,40 @@ impl RunState<'_> {
             .sum()
     }
 
-    /// Place a cold start needing `needed_mb` MB: the live node with the
-    /// best net utility — capacity headroom (after the placement) discounted
-    /// by the node's price and speed factors, ties to the lowest index.
+    /// Place a cold start needing `needed_mb` MB (see [`Self::best_node`]).
     /// `None` only when no node accepts work.
     fn place_for(&self, families: &[ModelFamily], needed_mb: f64) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (k, node) in self.nodes.iter().enumerate() {
-            if !node.health.accepts_work() {
-                continue;
-            }
-            let headroom = match node.spec.capacity.keepalive_mb {
-                Some(cap) if cap > 0.0 => {
-                    let used = self.node_used_mb(families, k);
-                    ((cap - used - needed_mb) / cap).max(0.0)
-                }
-                Some(_) => 0.0,
-                None => 1.0,
-            };
-            let utility = (1.0 + headroom) / (node.spec.price_factor * node.spec.speed_factor);
-            if best.is_none_or(|(_, bu)| utility > bu) {
-                best = Some((k, utility));
-            }
-        }
-        best.map(|(k, _)| k)
+        self.best_node(families, needed_mb, None)
     }
 
-    /// Best live node other than `exclude` with actual room for a
-    /// `needed_mb` container (same net-utility score as
-    /// [`Self::place_for`], but a node that would immediately be over its
-    /// own cap is not a valid migration target — that would just move the
-    /// pressure). `None` when nowhere fits.
-    fn migration_target(
+    /// The live node with the best net utility for a `needed_mb` container
+    /// — its capacity headroom after the placement (clamped at zero, 1 when
+    /// uncapped) discounted by the node's price and speed factors — ties to
+    /// the lowest index. With `migrating_from`, that node is skipped and a
+    /// node the container would push over its own cap is no candidate
+    /// (moving there would just move the pressure).
+    fn best_node(
         &self,
         families: &[ModelFamily],
         needed_mb: f64,
-        exclude: usize,
+        migrating_from: Option<usize>,
     ) -> Option<usize> {
+        let must_fit = migrating_from.is_some();
         let mut best: Option<(usize, f64)> = None;
         for (k, node) in self.nodes.iter().enumerate() {
-            if k == exclude || !node.health.accepts_work() {
+            if migrating_from == Some(k) || !node.health.accepts_work() {
                 continue;
             }
             let headroom = match node.spec.capacity.keepalive_mb {
                 Some(cap) if cap > 0.0 => {
                     let h = (cap - self.node_used_mb(families, k) - needed_mb) / cap;
-                    if h < 0.0 {
+                    if must_fit && h < 0.0 {
                         continue;
                     }
-                    h
+                    h.max(0.0)
                 }
-                Some(_) => continue,
+                Some(_) if must_fit => continue,
+                Some(_) => 0.0,
                 None => 1.0,
             };
             let utility = (1.0 + headroom) / (node.spec.price_factor * node.spec.speed_factor);
@@ -382,12 +392,12 @@ impl RunState<'_> {
             c.begin_exec();
             epoch = c.epoch;
         }
-        let v = self.req_warm_variant[req];
+        let v = self.reqs[req].variant;
         let exec = scale_ms(
             self.sampler.warm_ms(fam.variant(v)),
             self.node_time_factor(func),
         );
-        let gen = self.req_gen[req];
+        let gen = u64::from(self.reqs[req].gen);
         if self.injector.exec_crashes(func, v) {
             let at = now + self.injector.crash_point_ms(exec);
             self.queue.push(
@@ -451,12 +461,30 @@ impl RunState<'_> {
         }
     }
 
+    /// Refuse `req` at admission control: count it against the global
+    /// (tier 1) or, with `per_node`, the per-node (tier 2) bound, log and
+    /// emit the shed, and fail the request.
+    fn shed(&mut self, now: u64, func: usize, req: usize, per_node: bool) {
+        if per_node {
+            self.summary.node_shed_requests += 1;
+        } else {
+            self.summary.shed_requests += 1;
+        }
+        self.summary.ops_events.push(OpsEvent::Overloaded {
+            at_ms: now,
+            func,
+            req,
+        });
+        emit(&mut self.sink, || ObsEvent::Shed { at_ms: now, func });
+        self.fail_request(req, now);
+    }
+
     /// Mark `req` as terminally failed at `now`.
     fn fail_request(&mut self, req: usize, now: u64) {
-        if self.req_done[req] {
+        if self.reqs[req].done {
             return;
         }
-        self.req_done[req] = true;
+        self.reqs[req].done = true;
         self.records[req].failed = true;
         self.records[req].done_ms = now;
         self.minute_violations += 1;
@@ -493,12 +521,12 @@ impl RunState<'_> {
             let new_acc = fam.variant(lower).accuracy_pct;
             let waiting: Vec<usize> = self.fns[func].waiting.iter().copied().collect();
             for r in waiting {
-                if self.req_warm_variant[r] != lower {
+                if self.reqs[r].variant != lower {
                     self.summary.degraded_requests += 1;
                     self.summary.accuracy_penalty_pct +=
                         (self.records[r].accuracy_pct - new_acc).max(0.0);
                     self.records[r].accuracy_pct = new_acc;
-                    self.req_warm_variant[r] = lower;
+                    self.reqs[r].variant = lower;
                 }
             }
             self.fns[func].provision_attempts = 0;
@@ -531,14 +559,14 @@ impl RunState<'_> {
         gen: u64,
         now: u64,
     ) {
-        if gen != self.req_gen[req] {
+        if gen != u64::from(self.reqs[req].gen) {
             return; // aborted by a node crash; the re-dispatch owns it now
         }
         self.summary.exec_crashes += 1;
         // A live-generation crash event implies an execution this function
         // started and never completed, so the slot count must be positive —
         // a zero here means a completion was double-counted somewhere
-        // (crash-abort paths bump `req_gen`, so their stale events return
+        // (crash-abort paths bump the generation, so their stale events return
         // above). Assert in debug; saturate in release so a production run
         // degrades to a slot leak instead of a panic.
         debug_assert!(
@@ -559,11 +587,11 @@ impl RunState<'_> {
             }
             self.fns[func].container = None;
         }
-        if !self.req_done[req] {
-            self.req_retries[req] += 1;
-            if self.req_retries[req] <= self.injector.plan().retry.max_retries {
+        if !self.reqs[req].done {
+            self.reqs[req].retries += 1;
+            if self.reqs[req].retries <= self.injector.plan().retry.max_retries {
                 self.summary.request_retries += 1;
-                let backoff = self.injector.backoff_ms(self.req_retries[req]);
+                let backoff = self.injector.backoff_ms(self.reqs[req].retries);
                 self.queue
                     .push(now + backoff, Event::RetryRequest { func, req });
             } else {
@@ -574,7 +602,7 @@ impl RunState<'_> {
         // the rung they are assigned to.
         if self.fns[func].container.is_none() {
             if let Some(&front) = self.fns[func].waiting.front() {
-                let v = self.req_warm_variant[front];
+                let v = self.reqs[front].variant;
                 self.fns[func].provision_attempts = 0;
                 self.begin_provision(fam, func, v, now, 0);
             }
@@ -583,7 +611,7 @@ impl RunState<'_> {
 
     /// Re-attempt a crashed request after its backoff.
     fn on_retry_request(&mut self, families: &[ModelFamily], func: usize, req: usize, now: u64) {
-        if self.req_done[req] {
+        if self.reqs[req].done {
             return;
         }
         let fam = &families[func];
@@ -594,9 +622,9 @@ impl RunState<'_> {
         match (warm_variant, self.fns[func].container.is_some()) {
             (Some(v), _) => {
                 // The retried execution runs on whatever rung is now live.
-                if self.req_warm_variant[req] != v {
+                if self.reqs[req].variant != v {
                     self.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
-                    self.req_warm_variant[req] = v;
+                    self.reqs[req].variant = v;
                 }
                 if self.fns[func].in_flight < self.cap {
                     self.start_exec(fam, func, req, now);
@@ -610,7 +638,7 @@ impl RunState<'_> {
                 self.fns[func].waiting.push_back(req);
             }
             (None, false) => {
-                let v = self.req_warm_variant[req];
+                let v = self.reqs[req].variant;
                 if !self.node_ok(func) {
                     // The assigned node is down: re-place before
                     // provisioning, or fail the retry if no node is live.
@@ -635,7 +663,7 @@ impl RunState<'_> {
     /// queue. An execution already in flight runs on; its completion event
     /// only does container bookkeeping.
     fn on_timeout(&mut self, func: usize, req: usize, now: u64) {
-        if self.req_done[req] {
+        if self.reqs[req].done {
             return;
         }
         self.summary.timeouts += 1;
@@ -678,9 +706,10 @@ impl Runtime {
     }
 
     /// Begin a steppable run of `policy` with faults injected per `plan` on
-    /// `topology`: all events (minute ticks, arrivals, node fault windows,
-    /// optional SLO timers) are seeded up front, and each
-    /// [`RuntimeSession::step`] call processes exactly one.
+    /// `topology`: minute ticks and node fault windows are queued up front,
+    /// then the trace's arrivals are admitted through
+    /// [`RuntimeSession::admit_at`] (with their SLO timers), and each
+    /// [`RuntimeSession::step`] call processes exactly one event.
     /// [`RuntimeSession::finish`] drains what is left, so
     /// `session(..).finish()` is a whole run; callers that need to
     /// interleave the run with other work (online serving shims,
@@ -750,10 +779,7 @@ impl Runtime {
                 .collect(),
             ledger: ScheduleLedger::for_families(&self.families),
             records: Vec::new(),
-            req_warm_variant: Vec::new(),
-            req_retries: Vec::new(),
-            req_done: Vec::new(),
-            req_gen: Vec::new(),
+            reqs: Vec::new(),
             summary: RuntimeSummary::default(),
             sampler: DurationSampler::new(self.config.stochastic_seed),
             injector: FaultInjector::new(plan),
@@ -769,8 +795,6 @@ impl Runtime {
             prev_fallback: false,
             sink,
         };
-        let mut req_func: Vec<usize> = Vec::new();
-
         // Minute ticks.
         for m in 0..minutes {
             rs.queue
@@ -802,46 +826,21 @@ impl Runtime {
                 },
             );
         }
-        // Arrivals, spread across each active minute (offset ≥ 1 ms so the
-        // tick always precedes them).
-        for m in 0..minutes {
-            for f in 0..n {
-                let count = self.trace.function(f).at(m) as u64;
-                for at in arrival_times_in_minute(m, count) {
-                    let req = rs.records.len();
-                    rs.records.push(RequestRecord {
-                        arrival_ms: at,
-                        done_ms: at,
-                        warm: false,
-                        accuracy_pct: 0.0,
-                        failed: false,
-                    });
-                    req_func.push(f);
-                    rs.req_warm_variant.push(0);
-                    rs.req_retries.push(0);
-                    rs.req_done.push(false);
-                    rs.req_gen.push(0);
-                    rs.queue.push(at, Event::Arrival { func: f, req });
-                }
-            }
-        }
-        // SLO timers (only when the plan configures a timeout, so fault-free
-        // runs schedule no extra events).
-        if let Some(t) = plan.request_timeout_ms {
-            for (req, (rec, &func)) in rs.records.iter().zip(req_func.iter()).enumerate() {
-                let at = rec.arrival_ms.saturating_add(t);
-                rs.queue.push(at, Event::RequestTimeout { func, req });
-            }
-        }
 
-        RuntimeSession {
+        let mut session = RuntimeSession {
             rt: self,
             policy,
             fleet,
             rs,
             adjust: AdjustStage::with_horizon(self.trace.minutes()),
             flatten_scratch: FlattenScratch::default(),
+        };
+        // Arrivals: the trace's expansion, admitted exactly as live requests
+        // are (each followed by its SLO timer when the plan sets a timeout).
+        for (at, func) in trace_arrivals(&self.trace) {
+            session.admit_at(at, func);
         }
+        session
     }
 }
 
@@ -886,25 +885,18 @@ impl RuntimeSession<'_> {
         self.rs.summary.shed_requests
     }
 
-    /// Admit one externally sourced request for `func` at absolute time
-    /// `at_ms`, returning its request id. The request joins the same
-    /// machinery trace-seeded arrivals use: it is a queued
-    /// [`Event::Arrival`] processed by [`Self::step`], subject to admission
-    /// control, warm/cold dispatch and the policy's schedule refresh — and,
-    /// when the fault plan configures a per-request SLO budget, a matching
-    /// [`Event::RequestTimeout`] is scheduled alongside it.
-    ///
-    /// This is the online-serving hook: a session built over an all-zero
-    /// trace has only minute ticks queued, and a caller (e.g.
-    /// `pulse-serve`) feeds arrivals in as they happen. Admitting the full
-    /// stream up front in `(minute, func, k)` order with
-    /// [`arrival_times_in_minute`] timestamps reproduces the exact event
-    /// sequence numbers of a trace-seeded run, which is what makes the
-    /// simulated-clock serve mode bit-identical to a trace-seeded
-    /// [`Runtime::session`] run on the binned trace (with a request
-    /// timeout configured, timeout timers interleave with later admissions
-    /// instead of following the whole arrival block, so exact-tie ordering
-    /// may differ there).
+    /// Admit one request for `func` at absolute time `at_ms`, returning its
+    /// request id. This is the only way a request enters the runtime:
+    /// [`Runtime::session`] admits its trace's [`trace_arrivals`] through
+    /// it, and an online caller (e.g. `pulse-serve`, over an all-zero trace
+    /// whose session has only minute ticks queued) feeds arrivals in as they
+    /// happen. The request becomes a queued [`Event::Arrival`] processed by
+    /// [`Self::step`] — admission control, warm/cold dispatch and the
+    /// policy's schedule refresh — and, when the fault plan sets a
+    /// per-request SLO budget, an [`Event::RequestTimeout`] queued right
+    /// behind it. Admitting a trace's expansion into a zero-trace session
+    /// therefore reproduces the trace-seeded run's event sequence numbers,
+    /// timeouts included.
     pub fn admit_at(&mut self, at_ms: u64, func: usize) -> usize {
         assert!(
             func < self.rt.families.len(),
@@ -920,10 +912,7 @@ impl RuntimeSession<'_> {
             accuracy_pct: 0.0,
             failed: false,
         });
-        rs.req_warm_variant.push(0);
-        rs.req_retries.push(0);
-        rs.req_done.push(false);
-        rs.req_gen.push(0);
+        rs.reqs.push(ReqState::default());
         rs.queue.push(at_ms, Event::Arrival { func, req });
         if let Some(t) = rs.injector.plan().request_timeout_ms {
             rs.queue
@@ -1144,7 +1133,7 @@ impl RuntimeSession<'_> {
                     continue;
                 }
                 let mem = self.rt.families[f].variant(v).memory_mb;
-                let Some(to) = self.rs.migration_target(&self.rt.families, mem, k) else {
+                let Some(to) = self.rs.best_node(&self.rt.families, mem, Some(k)) else {
                     continue;
                 };
                 let st = &mut self.rs.fns[f];
@@ -1238,6 +1227,7 @@ impl RuntimeSession<'_> {
                 &mut self.rs.pressure_priority[k],
                 planned_mb,
                 cap_mb,
+                uv_score,
             );
             self.apply_pressure_actions(minute, &outcome.actions);
         }
@@ -1386,37 +1376,23 @@ impl RuntimeSession<'_> {
             .as_ref()
             .map(|c| (c.is_warm(), c.variant));
 
-        // Admission control, tier 1 (global front door): an arrival that
-        // cannot start executing immediately joins the pending backlog; once
-        // the backlog is full it is shed — no schedule refresh, no
-        // provisioning, the policy never hears about it.
+        // Admission control applies only to an arrival that cannot start
+        // executing immediately. Tier 1 (global front door): once the
+        // pending backlog is full it is shed — no schedule refresh, no
+        // provisioning, the policy never hears about it. Tier 2 (per-node
+        // backlog): the bound applies to the node currently hosting the
+        // function, keeping one pressured node's queue from absorbing the
+        // whole fleet's arrivals.
         let starts_now = matches!(held, Some((true, _))) && rs.fns[func].in_flight < rs.cap;
-        if let Some(max_pending) = self.fleet.admission.max_pending {
-            if !starts_now && rs.pending >= max_pending {
-                rs.summary.shed_requests += 1;
-                rs.summary.ops_events.push(OpsEvent::Overloaded {
-                    at_ms: now,
-                    func,
-                    req,
-                });
-                emit(&mut rs.sink, || ObsEvent::Shed { at_ms: now, func });
-                rs.fail_request(req, now);
-                return;
-            }
-        }
-        // Admission control, tier 2 (per-node backlog): the bound applies to
-        // the node currently hosting the function, keeping one pressured
-        // node's queue from absorbing the whole fleet's arrivals.
-        if let Some(max_node) = self.fleet.node_admission {
-            if !starts_now && rs.node_waiting(rs.fns[func].node) >= max_node {
-                rs.summary.node_shed_requests += 1;
-                rs.summary.ops_events.push(OpsEvent::Overloaded {
-                    at_ms: now,
-                    func,
-                    req,
-                });
-                emit(&mut rs.sink, || ObsEvent::Shed { at_ms: now, func });
-                rs.fail_request(req, now);
+        if !starts_now {
+            let (fleet, node) = (&self.fleet, rs.fns[func].node);
+            let global = fleet.admission.max_pending.is_some_and(|m| rs.pending >= m);
+            if global
+                || fleet
+                    .node_admission
+                    .is_some_and(|m| rs.node_waiting(node) >= m)
+            {
+                rs.shed(now, func, req, !global);
                 return;
             }
         }
@@ -1432,7 +1408,7 @@ impl RuntimeSession<'_> {
             Some((true, v)) => {
                 rs.records[req].warm = true;
                 rs.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
-                rs.req_warm_variant[req] = v;
+                rs.reqs[req].variant = v;
                 if rs.fns[func].in_flight < rs.cap {
                     rs.start_exec(fam, func, req, now);
                 } else {
@@ -1445,7 +1421,7 @@ impl RuntimeSession<'_> {
                 // as warm (the container exists), matching the minute engine.
                 rs.records[req].warm = true;
                 rs.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
-                rs.req_warm_variant[req] = v;
+                rs.reqs[req].variant = v;
                 rs.pending += 1;
                 rs.fns[func].waiting.push_back(req);
             }
@@ -1455,7 +1431,7 @@ impl RuntimeSession<'_> {
                 rs.minute_violations += 1;
                 rs.records[req].warm = false;
                 rs.records[req].accuracy_pct = fam.variant(v).accuracy_pct;
-                rs.req_warm_variant[req] = v;
+                rs.reqs[req].variant = v;
                 // Fleet placement: pick the host before provisioning. A
                 // single always-up node resolves to node 0 without running
                 // the placer, so cluster-compatible runs never touch it.
@@ -1517,12 +1493,12 @@ impl RuntimeSession<'_> {
     /// the re-dispatch owns the request now.
     fn on_exec_done(&mut self, now: u64, func: usize, req: usize, gen: u64) {
         let rs = &mut self.rs;
-        if gen != rs.req_gen[req] {
+        if gen != u64::from(rs.reqs[req].gen) {
             return;
         }
-        if !rs.req_done[req] {
+        if !rs.reqs[req].done {
             rs.records[req].done_ms = now;
-            rs.req_done[req] = true;
+            rs.reqs[req].done = true;
         }
         rs.fns[func].in_flight -= 1;
         if let Some(pos) = rs.fns[func].executing.iter().position(|&r| r == req) {
@@ -1586,15 +1562,16 @@ impl RuntimeSession<'_> {
                 let aborted = std::mem::take(&mut self.rs.fns[f].executing);
                 self.rs.fns[f].in_flight = 0;
                 for r in aborted {
-                    self.rs.req_gen[r] += 1; // the queued completion is now stale
-                    if self.rs.req_done[r] {
+                    // The queued completion is now stale.
+                    self.rs.reqs[r].gen = self.rs.reqs[r].gen.wrapping_add(1);
+                    if self.rs.reqs[r].done {
                         continue;
                     }
                     self.rs.summary.redispatched_requests += 1;
-                    self.rs.req_retries[r] += 1;
-                    if self.rs.req_retries[r] <= self.rs.injector.plan().retry.max_retries {
+                    self.rs.reqs[r].retries += 1;
+                    if self.rs.reqs[r].retries <= self.rs.injector.plan().retry.max_retries {
                         self.rs.summary.request_retries += 1;
-                        let backoff = self.rs.injector.backoff_ms(self.rs.req_retries[r]);
+                        let backoff = self.rs.injector.backoff_ms(self.rs.reqs[r].retries);
                         self.rs
                             .queue
                             .push(now + backoff, Event::RetryRequest { func: f, req: r });
@@ -1607,7 +1584,7 @@ impl RuntimeSession<'_> {
                 continue;
             }
             let front = *self.rs.fns[f].waiting.front().expect("checked non-empty");
-            let v = self.rs.req_warm_variant[front];
+            let v = self.rs.reqs[front].variant;
             let mem = self.rt.families[f].variant(v).memory_mb;
             match self.rs.place_for(&self.rt.families, mem) {
                 Some(k) => {
@@ -2356,11 +2333,22 @@ mod tests {
     #[test]
     fn admitted_stream_is_bit_identical_to_trace_seeded_run() {
         // A zero-trace session fed the expanded stream up front must be the
-        // trace-seeded run, event sequence numbers and all.
+        // trace-seeded run, event sequence numbers and all — SLO timers and
+        // admission sheds included.
         let trace = pulse_trace::synth::azure_like_12_with_horizon(11, 180);
         let fams = round_robin_assignment(&pulse_models::zoo::standard(), 12);
+        let plan = FaultPlan::uniform(0.2, 0.1, 0.05, 7).with_timeout_ms(60_000);
+        let cluster = ClusterConfig {
+            admission: crate::cluster::AdmissionControl::bounded(2),
+            ..ClusterConfig::unlimited()
+        };
         let seeded = Runtime::new(trace.clone(), fams.clone(), RuntimeConfig::default())
-            .run(&mut PulsePolicy::new(fams.clone(), PulseConfig::default()));
+            .session(
+                &mut PulsePolicy::new(fams.clone(), PulseConfig::default()),
+                &plan,
+                cluster,
+            )
+            .finish();
 
         let zeros = Trace::new(
             trace
@@ -2371,21 +2359,35 @@ mod tests {
         );
         let rt = Runtime::new(zeros, fams.clone(), RuntimeConfig::default());
         let mut policy = PulsePolicy::new(fams.clone(), PulseConfig::default());
-        let mut session = rt.session(&mut policy, &FaultPlan::none(), ClusterConfig::unlimited());
-        for m in 0..trace.minutes() as u64 {
-            for f in 0..trace.n_functions() {
-                for at in arrival_times_in_minute(m, trace.function(f).at(m) as u64) {
-                    session.admit_at(at, f);
-                }
-            }
+        let mut session = rt.session(&mut policy, &plan, cluster);
+        for (at, f) in trace_arrivals(&trace) {
+            session.admit_at(at, f);
         }
         let admitted = session.finish();
+        assert!(seeded.timeouts > 0 && seeded.shed_requests > 0);
         assert_eq!(admitted.records, seeded.records);
         assert_eq!(
             admitted.keepalive_cost_usd.to_bits(),
             seeded.keepalive_cost_usd.to_bits()
         );
         assert_eq!(admitted.memory_at_tick_mb, seeded.memory_at_tick_mb);
+        assert_eq!(admitted.timeouts, seeded.timeouts);
+        assert_eq!(admitted.shed_requests, seeded.shed_requests);
+    }
+
+    #[test]
+    fn trace_arrivals_follow_the_canonical_order() {
+        let trace = Trace::new(vec![
+            FunctionTrace::new("a", vec![2, 0, 1]),
+            FunctionTrace::new("b", vec![1, 1, 0]),
+        ]);
+        let got: Vec<(u64, usize)> = trace_arrivals(&trace).collect();
+        let want: Vec<(u64, usize)> = [(0, 0, 2), (0, 1, 1), (1, 1, 1), (2, 0, 1)]
+            .iter()
+            .flat_map(|&(m, f, n)| arrival_times_in_minute(m, n).map(move |at| (at, f)))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got.len() as u64, trace.total_invocations());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! corruption all fail soft with a typed
 //! [`RecoverError`](pulse_sim::recover::RecoverError).
 
-use super::{DurationSampler, FnState, NodeRt, RunState, Runtime, RuntimeSession};
+use super::{DurationSampler, FnState, NodeRt, ReqState, RunState, Runtime, RuntimeSession};
 use crate::cluster::OpsEvent;
 use crate::container::{ContainerState, LiveContainer};
 use crate::event::{Event, EventQueue};
@@ -449,26 +449,26 @@ impl RuntimeSession<'_> {
                 )
                 .u64_list(
                     "variant",
-                    &rs.req_warm_variant
-                        .iter()
-                        .map(|&v| v as u64)
-                        .collect::<Vec<_>>(),
+                    &rs.reqs.iter().map(|r| r.variant as u64).collect::<Vec<_>>(),
                 )
                 .u64_list(
                     "retries",
-                    &rs.req_retries
+                    &rs.reqs
                         .iter()
-                        .map(|&r| u64::from(r))
+                        .map(|r| u64::from(r.retries))
                         .collect::<Vec<_>>(),
                 )
                 .u64_list(
                     "terminal",
-                    &rs.req_done
+                    &rs.reqs
                         .iter()
-                        .map(|&d| u64::from(d))
+                        .map(|r| u64::from(r.done))
                         .collect::<Vec<_>>(),
                 )
-                .u64_list("gen", &rs.req_gen)
+                .u64_list(
+                    "gen",
+                    &rs.reqs.iter().map(|r| u64::from(r.gen)).collect::<Vec<_>>(),
+                )
                 .finish(),
         );
 
@@ -837,11 +837,16 @@ impl Runtime {
                 failed: failed[i] != 0,
             })
             .collect();
-        let req_retries: Vec<u32> = retries
-            .into_iter()
-            .map(u32::try_from)
-            .collect::<Result<_, _>>()
-            .map_err(RecoverError::corrupt)?;
+        let req_states: Vec<ReqState> = (0..len)
+            .map(|i| {
+                Ok(ReqState {
+                    variant: variant[i] as usize,
+                    retries: u32::try_from(retries[i]).map_err(RecoverError::corrupt)?,
+                    done: terminal[i] != 0,
+                    gen: u16::try_from(gen[i]).map_err(RecoverError::corrupt)?,
+                })
+            })
+            .collect::<Result<_, RecoverError>>()?;
 
         let qt = queue_rec.u64_list("t").map_err(c)?;
         let qs = queue_rec.u64_list("s").map_err(c)?;
@@ -895,10 +900,7 @@ impl Runtime {
             fns,
             ledger,
             records,
-            req_warm_variant: variant.into_iter().map(|v| v as usize).collect(),
-            req_retries,
-            req_done: terminal.into_iter().map(|d| d != 0).collect(),
-            req_gen: gen,
+            reqs: req_states,
             summary,
             sampler: DurationSampler {
                 rng: sampler_rng,

@@ -8,19 +8,20 @@
 //!   engine. A full channel means arrivals are *dropped at the front door*
 //!   and counted — the producer never blocks and nothing queues unbounded;
 //! * the **policy logic** is the untouched [`pulse_runtime::RuntimeSession`]:
-//!   every admitted request goes through [`RuntimeSession::admit_at`] into
+//!   every admitted request goes through [`RuntimeSession::admit_at`] — the
+//!   same entry a batch [`Runtime::session`] seeds its trace through — into
 //!   the exact event machinery the offline engines run, including the
 //!   engine-side [`AdmissionControl`] backpressure tier.
 //!
-//! Two clocks, two modes. [`replay`] drives the session on the *simulated*
-//! clock only — no wall time touches any decision, which is what makes it
-//! bit-identical to a trace-seeded [`Runtime::session`] run on the binned
-//! trace (the
-//! determinism suite pins this). [`serve_live`] maps wall time onto the
-//! virtual timeline (optionally scaled), so minute ticks — and therefore
-//! keep-alive decisions — happen *online*, while requests race in through
-//! the channel. Per-decision wall latency is recorded into a pulse-obs
-//! [`Histogram`] around each `step`, but never feeds back into any
+//! Two clocks. On the *simulated* clock the serve path needs no code of its
+//! own: a batch [`Runtime::session`] over [`ArrivalStream::trace`] admits
+//! the stream in order, so it *is* the simulated-clock serve run (the
+//! determinism suite pins it to a zero-trace session fed the stream through
+//! `admit_at`, timeouts and sheds included). [`serve_live`] maps wall time
+//! onto the virtual timeline (optionally scaled), so minute ticks — and
+//! therefore keep-alive decisions — happen *online*, while requests race in
+//! through the channel. Per-decision wall latency is recorded into a
+//! pulse-obs [`Histogram`] around each `step`, but never feeds back into any
 //! decision: summaries from a live run remain a pure function of the
 //! admitted stream.
 
@@ -38,7 +39,8 @@ use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Engine-side configuration shared by both serve modes.
+/// Engine-side configuration of a serve run (the same three arguments a
+/// batch [`Runtime::session`] takes).
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// Capacity cap and admission bound applied inside the engine.
@@ -119,9 +121,7 @@ impl ServeReport {
 }
 
 /// An all-zero trace with the same shape as `trace`: sessions built over it
-/// seed only minute ticks, so every arrival is externally admitted — with
-/// sequence numbers identical to a trace-seeded run when the stream is
-/// admitted in canonical order.
+/// queue only minute ticks, so every arrival is admitted by the front door.
 fn zero_trace_like(trace: &Trace) -> Trace {
     Trace::new(
         trace
@@ -130,30 +130,6 @@ fn zero_trace_like(trace: &Trace) -> Trace {
             .map(|f| FunctionTrace::new(f.name.clone(), vec![0; f.per_minute.len()]))
             .collect(),
     )
-}
-
-/// Serve `stream` on the simulated clock: admit the whole stream up front
-/// in canonical order, then drain the session. Bit-identical to
-/// a trace-seeded [`Runtime::session`] run over [`ArrivalStream::trace`] with the
-/// same policy and configuration (pinned in the determinism suite). With a
-/// sink attached, the *engine* events are traced, exactly as a
-/// `session_traced` replay would — no serve telemetry is interleaved.
-pub fn replay(
-    stream: &ArrivalStream,
-    families: Vec<ModelFamily>,
-    policy: &mut dyn KeepAlivePolicy,
-    config: &ServeConfig,
-    sink: Option<&mut dyn TraceSink>,
-) -> RuntimeSummary {
-    let rt = Runtime::new(zero_trace_like(stream.trace()), families, config.runtime);
-    let mut session = match sink {
-        Some(s) => rt.session_traced(policy, &config.plan, config.cluster, s),
-        None => rt.session(policy, &config.plan, config.cluster),
-    };
-    for a in stream.arrivals() {
-        session.admit_at(a.at_ms, a.func);
-    }
-    session.finish()
 }
 
 /// One timed engine step: wall-clock the decision, classify it, and emit a
@@ -229,13 +205,12 @@ pub fn serve_live(
         mode: mode_label.to_string(),
     });
 
-    let (trace, arrivals) = stream.into_parts();
-    let rt = Runtime::new(zero_trace_like(&trace), families, config.runtime);
+    let rt = Runtime::new(zero_trace_like(stream.trace()), families, config.runtime);
     let mut session = rt.session(policy, &config.plan, config.cluster);
 
     let (tx, rx) = std::sync::mpsc::sync_channel::<Arrival>(opts.channel_capacity.max(1));
     let dropped = Arc::new(AtomicU64::new(0));
-    let producer = spawn_producer(arrivals, tx, Arc::clone(&dropped), opts.speedup);
+    let producer = spawn_producer(stream, tx, Arc::clone(&dropped), opts.speedup);
 
     let mut decision_ns = Histogram::new();
     let mut tick_ns = Histogram::new();
@@ -328,19 +303,20 @@ pub fn serve_live(
     report
 }
 
-/// The open-loop producer: pushes the stream through the bounded channel,
-/// never blocking on the consumer — a full channel drops the arrival and
-/// counts it. With pacing, the producer sleeps so each arrival is offered
-/// no earlier than its virtual timestamp maps to on the wall clock.
+/// The open-loop producer: owns the stream, expands it as it sends, and
+/// pushes each arrival through the bounded channel, never blocking on the
+/// consumer — a full channel drops the arrival and counts it. With pacing,
+/// the producer sleeps so each arrival is offered no earlier than its
+/// virtual timestamp maps to on the wall clock.
 fn spawn_producer(
-    arrivals: Vec<Arrival>,
+    stream: ArrivalStream,
     tx: SyncSender<Arrival>,
     dropped: Arc<AtomicU64>,
     speedup: Option<f64>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let start = Instant::now();
-        for a in arrivals {
+        for a in stream.arrivals() {
             if let Some(speedup) = speedup {
                 let due = Duration::from_secs_f64(a.at_ms as f64 / 1_000.0 / speedup.max(1e-9));
                 let elapsed = start.elapsed();

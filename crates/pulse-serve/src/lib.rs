@@ -12,14 +12,15 @@
 //!
 //! * [`loadgen`] — deterministic open-loop load generation (seeded
 //!   Poisson, bursty on/off, and Hawkes-like self-exciting arrivals,
-//!   reusing the pulse-trace archetypes), expanded to millisecond arrivals
-//!   with the runtime's own trace expansion so replays are bit-exact;
+//!   reusing the pulse-trace archetypes), held as a binned trace and
+//!   expanded lazily to millisecond arrivals with the runtime's own trace
+//!   expansion;
 //! * [`engine`] — the transport/policy split: a bounded
-//!   `sync_channel` front door feeding a [`pulse_runtime::RuntimeSession`],
-//!   with wall-clock decision latency recorded into pulse-obs histograms.
-//!   [`engine::replay`] runs the same stream on the simulated clock,
-//!   bit-identical to a trace-seeded `Runtime::session` run on the binned
-//!   trace;
+//!   `sync_channel` front door feeding a [`pulse_runtime::RuntimeSession`]
+//!   through `admit_at`, with wall-clock decision latency recorded into
+//!   pulse-obs histograms. The simulated-clock run of a stream is the batch
+//!   `Runtime::session` over [`ArrivalStream::trace`], which admits the
+//!   same arrivals through the same `admit_at`;
 //! * [`demo`] — the single-box throughput demo behind
 //!   `pulse-exp serve --demo`.
 //!
@@ -34,5 +35,5 @@ pub mod loadgen;
 pub mod tcp;
 
 pub use demo::{run_demo, DemoConfig};
-pub use engine::{replay, serve_live, LiveOptions, ServeConfig, ServeReport};
+pub use engine::{serve_live, LiveOptions, ServeConfig, ServeReport};
 pub use loadgen::{Arrival, ArrivalStream, LoadGenConfig, LoadMode};

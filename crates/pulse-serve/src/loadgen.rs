@@ -3,19 +3,18 @@
 //! The generator is two-layered, mirroring how the engines consume work:
 //! each mode first draws a deterministic *per-minute count series* per
 //! function (reusing the pulse-trace archetypes, so the load shapes are the
-//! same ones the offline evaluation is calibrated on), then expands the
-//! counts to millisecond arrivals with
-//! [`pulse_runtime::arrival_times_in_minute`] — the runtime's own
-//! trace-to-timestamp expansion. Because binning the expanded stream back
-//! to minutes recovers the count series exactly, serving a generated stream
-//! in simulated-clock mode is bit-identical to a trace-seeded
-//! `Runtime::session` run on
-//! [`ArrivalStream::trace`] (pinned in this crate's determinism tests).
+//! same ones the offline evaluation is calibrated on). That binned
+//! [`Trace`] is the whole stream: [`ArrivalStream::arrivals`] expands it
+//! lazily into millisecond arrivals with [`pulse_runtime::trace_arrivals`],
+//! the runtime's own trace expansion. So admitting the stream in order into
+//! a zero-trace session is, event for event, a batch `Runtime::session`
+//! run on [`ArrivalStream::trace`] (pinned in this crate's determinism
+//! tests).
 //!
 //! Everything is deterministic given [`LoadGenConfig::seed`]: same seed,
 //! same mode → byte-identical stream, across machines and reruns.
 
-use pulse_runtime::arrival_times_in_minute;
+use pulse_runtime::trace_arrivals;
 use pulse_trace::synth::Archetype;
 use pulse_trace::{FunctionTrace, Trace};
 use rand::rngs::SmallRng;
@@ -147,19 +146,17 @@ pub struct Arrival {
     pub func: usize,
 }
 
-/// A fully materialized arrival stream plus the minute-binned [`Trace`] it
-/// expands — the replay-equivalence anchor: a `Runtime::session` over
-/// [`Self::trace`] processes exactly this stream.
+/// A generated arrival stream, held as the minute-binned [`Trace`] it
+/// expands from: a batch `Runtime::session` over [`Self::trace`] processes
+/// exactly [`Self::arrivals`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalStream {
     trace: Trace,
-    arrivals: Vec<Arrival>,
+    len: usize,
 }
 
 impl ArrivalStream {
-    /// Generate the stream for `cfg`. Arrivals come out in the engines'
-    /// canonical `(minute, func, offset)` order, which is nondecreasing in
-    /// time within a minute and across minutes.
+    /// Generate the stream for `cfg`.
     pub fn generate(cfg: &LoadGenConfig) -> Self {
         assert!(cfg.functions >= 1, "a stream needs at least one function");
         assert!(cfg.minutes >= 1, "a stream needs a nonzero horizon");
@@ -173,15 +170,8 @@ impl ArrivalStream {
             })
             .collect();
         let trace = Trace::new(functions);
-        let mut arrivals = Vec::with_capacity(trace.total_invocations() as usize);
-        for m in 0..cfg.minutes as u64 {
-            for f in 0..cfg.functions {
-                for at_ms in arrival_times_in_minute(m, u64::from(trace.function(f).at(m))) {
-                    arrivals.push(Arrival { at_ms, func: f });
-                }
-            }
-        }
-        Self { trace, arrivals }
+        let len = trace.total_invocations() as usize;
+        Self { trace, len }
     }
 
     /// The minute-binned view of the stream.
@@ -189,19 +179,21 @@ impl ArrivalStream {
         &self.trace
     }
 
-    /// The arrivals, in `(minute, func, offset)` order.
-    pub fn arrivals(&self) -> &[Arrival] {
-        &self.arrivals
+    /// The arrivals, expanded on the fly in the engines' canonical
+    /// `(minute, func, offset)` order: nondecreasing in minute, but within a
+    /// minute each function's arrivals restart at the minute's start.
+    pub fn arrivals(&self) -> impl Iterator<Item = Arrival> + '_ {
+        trace_arrivals(&self.trace).map(|(at_ms, func)| Arrival { at_ms, func })
     }
 
     /// Total arrivals.
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.len
     }
 
     /// True when the stream carries no arrivals at all.
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len == 0
     }
 
     /// Virtual horizon, minutes.
@@ -212,12 +204,6 @@ impl ArrivalStream {
     /// Functions behind the front door.
     pub fn n_functions(&self) -> usize {
         self.trace.n_functions()
-    }
-
-    /// Split into the binned trace and the owned arrival vector (the live
-    /// engine moves the arrivals into the producer thread).
-    pub(crate) fn into_parts(self) -> (Trace, Vec<Arrival>) {
-        (self.trace, self.arrivals)
     }
 }
 
@@ -253,8 +239,10 @@ mod tests {
         for mode in MODES {
             let s = ArrivalStream::generate(&cfg(mode));
             assert!(!s.is_empty(), "{} generated nothing", mode.label());
+            let arrivals: Vec<Arrival> = s.arrivals().collect();
+            assert_eq!(arrivals.len(), s.len());
             assert!(
-                s.arrivals().windows(2).all(|w| w[0].at_ms <= w[1].at_ms
+                arrivals.windows(2).all(|w| w[0].at_ms <= w[1].at_ms
                     || w[0].at_ms / pulse_runtime::MS_PER_MINUTE
                         == w[1].at_ms / pulse_runtime::MS_PER_MINUTE),
                 "{} stream departs from canonical order",

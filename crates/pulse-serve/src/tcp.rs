@@ -198,4 +198,53 @@ mod tests {
     fn wrong_payload_size_is_rejected() {
         assert!(decode_arrival(&[0u8; 5]).is_err());
     }
+
+    /// End to end over loopback: frames written to a socket arrive on the
+    /// serving channel in order, and the one frame offered to a full
+    /// channel is dropped and counted.
+    #[test]
+    fn loopback_ingress_delivers_in_order_and_drops_on_a_full_channel() {
+        use std::net::TcpStream;
+        use std::sync::mpsc::sync_channel;
+        use std::time::{Duration, Instant};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let capacity = 4;
+        let (tx, rx) = sync_channel::<Arrival>(capacity);
+        let dropped = Arc::new(AtomicU64::new(0));
+        // The accept loop outlives the test body (it ends only when the
+        // listener errors); the process exit reaps it.
+        let _ingress = spawn_ingress(listener, tx, Arc::clone(&dropped));
+
+        let sent: Vec<Arrival> = (0..=capacity as u64)
+            .map(|k| Arrival {
+                at_ms: 1 + k * 7,
+                func: (k % 3) as usize,
+            })
+            .collect();
+        let mut sock = TcpStream::connect(addr).unwrap();
+        for a in &sent {
+            write_arrival(&mut sock, a).unwrap();
+        }
+        sock.flush().unwrap();
+
+        // Nothing is received until the overflow frame has been dropped, so
+        // the channel is full when it arrives.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while dropped.load(Ordering::Relaxed) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the overflow frame was never dropped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let received: Vec<Arrival> = (0..capacity)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        assert_eq!(received, sent[..capacity]);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
+        drop(sock);
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+    }
 }

@@ -1,15 +1,19 @@
 //! The serving determinism suite: bit-identical load generation across
-//! seeds, and the pinned serve-vs-replay equivalence — feeding a generated
-//! stream through pulse-serve on the simulated clock must match
-//! a trace-seeded `Runtime::session` run over the binned trace bitwise.
+//! seeds, and the pinned serve-vs-batch equivalence — admitting a generated
+//! stream in order into a zero-trace session (what the live front door does,
+//! minus the wall clock) must match a batch `Runtime::session` run over the
+//! binned trace bitwise, request timeouts and admission sheds included.
 
 use pulse_core::types::PulseConfig;
-use pulse_obs::{MemorySink, ObsEvent};
-use pulse_runtime::Runtime;
-use pulse_serve::engine::{replay, ServeConfig};
+use pulse_models::ModelFamily;
+use pulse_obs::{MemorySink, ObsEvent, TraceSink};
+use pulse_runtime::{FaultPlan, Runtime, RuntimeSummary};
+use pulse_serve::engine::ServeConfig;
 use pulse_serve::loadgen::{ArrivalStream, LoadGenConfig, LoadMode};
 use pulse_sim::assignment::round_robin_assignment;
 use pulse_sim::policies::{OpenWhiskFixed, PulsePolicy};
+use pulse_sim::policy::KeepAlivePolicy;
+use pulse_trace::{FunctionTrace, Trace};
 
 const MODES: [LoadMode; 3] = [
     LoadMode::Poisson { rate_per_min: 4.0 },
@@ -34,6 +38,63 @@ fn cfg(mode: LoadMode, seed: u64) -> LoadGenConfig {
     }
 }
 
+/// The stream admitted in order into a session over an all-zero trace of
+/// the same shape: every request enters through `admit_at`, as on the live
+/// path.
+fn admitted(
+    stream: &ArrivalStream,
+    families: &[ModelFamily],
+    policy: &mut dyn KeepAlivePolicy,
+    config: &ServeConfig,
+    sink: Option<&mut dyn TraceSink>,
+) -> RuntimeSummary {
+    let zeros = Trace::new(
+        stream
+            .trace()
+            .functions()
+            .iter()
+            .map(|f| FunctionTrace::new(f.name.clone(), vec![0; stream.minutes()]))
+            .collect(),
+    );
+    let rt = Runtime::new(zeros, families.to_vec(), config.runtime);
+    let mut session = match sink {
+        Some(s) => rt.session_traced(policy, &config.plan, config.cluster, s),
+        None => rt.session(policy, &config.plan, config.cluster),
+    };
+    for a in stream.arrivals() {
+        session.admit_at(a.at_ms, a.func);
+    }
+    session.finish()
+}
+
+/// The batch session over the stream's binned trace.
+fn batch(
+    stream: &ArrivalStream,
+    families: &[ModelFamily],
+    policy: &mut dyn KeepAlivePolicy,
+    config: &ServeConfig,
+    sink: Option<&mut dyn TraceSink>,
+) -> RuntimeSummary {
+    let rt = Runtime::new(stream.trace().clone(), families.to_vec(), config.runtime);
+    match sink {
+        Some(s) => rt.session_traced(policy, &config.plan, config.cluster, s),
+        None => rt.session(policy, &config.plan, config.cluster),
+    }
+    .finish()
+}
+
+fn assert_bit_identical(served: &RuntimeSummary, batch: &RuntimeSummary, label: &str) {
+    assert_eq!(served.records, batch.records, "{label}");
+    assert_eq!(
+        served.keepalive_cost_usd.to_bits(),
+        batch.keepalive_cost_usd.to_bits(),
+        "{label}"
+    );
+    assert_eq!(served.memory_at_tick_mb, batch.memory_at_tick_mb, "{label}");
+    assert_eq!(served.shed_requests, batch.shed_requests, "{label}");
+    assert_eq!(served.timeouts, batch.timeouts, "{label}");
+}
+
 #[test]
 fn same_seed_means_bit_identical_streams() {
     for mode in MODES {
@@ -52,64 +113,59 @@ fn different_seeds_mean_different_streams() {
     }
 }
 
-/// The pinned tentpole contract: simulated-clock serving of a generated
-/// stream is bitwise-identical to a trace-seeded `Runtime::session` run on
-/// the binned trace —
-/// per-request records, keep-alive cost bits, and the billed memory series.
+/// The pinned contract: admitting a generated stream is bitwise-identical
+/// to the batch session on the binned trace — per-request records,
+/// keep-alive cost bits, and the billed memory series — also under faults,
+/// a request timeout and a binding admission bound, where each request's
+/// SLO timer is queued right behind its arrival on both paths.
 #[test]
-fn replay_matches_batch_session_bitwise() {
-    for mode in MODES {
-        let stream = ArrivalStream::generate(&cfg(mode, 9));
-        let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
-        let config = ServeConfig::default().with_max_pending(64);
+fn admitted_stream_matches_batch_session_bitwise() {
+    let faulted = ServeConfig {
+        plan: FaultPlan::uniform(0.2, 0.1, 0.05, 7).with_timeout_ms(60_000),
+        ..ServeConfig::default()
+    }
+    .with_max_pending(2);
+    for config in [ServeConfig::default().with_max_pending(64), faulted] {
+        for mode in MODES {
+            let stream = ArrivalStream::generate(&cfg(mode, 9));
+            let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
 
-        let mut serve_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-        let served = replay(&stream, families.clone(), &mut serve_policy, &config, None);
+            let mut serve_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
+            let served = admitted(&stream, &families, &mut serve_policy, &config, None);
+            let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
+            let batch = batch(&stream, &families, &mut batch_policy, &config, None);
 
-        let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
-        let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-        let batch = rt
-            .session(&mut batch_policy, &config.plan, config.cluster)
-            .finish();
-
-        assert_eq!(served.records, batch.records, "{}", mode.label());
-        assert_eq!(
-            served.keepalive_cost_usd.to_bits(),
-            batch.keepalive_cost_usd.to_bits(),
-            "{}",
-            mode.label()
-        );
-        assert_eq!(
-            served.memory_at_tick_mb,
-            batch.memory_at_tick_mb,
-            "{}",
-            mode.label()
-        );
-        assert_eq!(
-            served.shed_requests,
-            batch.shed_requests,
-            "{}",
-            mode.label()
-        );
+            if config.plan.request_timeout_ms.is_some() {
+                assert!(batch.timeouts > 0, "{}: no timeout fired", mode.label());
+                assert!(batch.shed_requests > 0, "{}: nothing shed", mode.label());
+            }
+            assert_bit_identical(&served, &batch, mode.label());
+        }
     }
 }
 
 /// The equivalence holds for the fixed-keep-alive baseline policy too — the
 /// contract is engine-level, not an artifact of one policy.
 #[test]
-fn replay_matches_batch_session_for_fixed_policy() {
+fn admitted_stream_matches_batch_session_for_fixed_policy() {
     let stream = ArrivalStream::generate(&cfg(MODES[2], 17));
     let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
     let config = ServeConfig::default();
 
-    let mut serve_policy = OpenWhiskFixed::new(&families);
-    let served = replay(&stream, families.clone(), &mut serve_policy, &config, None);
-
-    let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
-    let mut batch_policy = OpenWhiskFixed::new(&families);
-    let batch = rt
-        .session(&mut batch_policy, &config.plan, config.cluster)
-        .finish();
+    let served = admitted(
+        &stream,
+        &families,
+        &mut OpenWhiskFixed::new(&families),
+        &config,
+        None,
+    );
+    let batch = batch(
+        &stream,
+        &families,
+        &mut OpenWhiskFixed::new(&families),
+        &config,
+        None,
+    );
 
     assert_eq!(served.records, batch.records);
     assert_eq!(
@@ -118,34 +174,34 @@ fn replay_matches_batch_session_for_fixed_policy() {
     );
 }
 
-/// Traced replays emit the same engine events a traced batch run does — the
-/// serve path adds no telemetry of its own on the simulated clock.
+/// A traced admitted stream emits the same engine events a traced batch
+/// run does — admission adds no telemetry of its own on the simulated
+/// clock.
 #[test]
-fn traced_replay_matches_traced_batch_run() {
+fn traced_admitted_stream_matches_traced_batch_run() {
     let stream = ArrivalStream::generate(&cfg(MODES[0], 23));
     let families = round_robin_assignment(&pulse_models::zoo::standard(), 12);
     let config = ServeConfig::default().with_max_pending(32);
 
     let mut serve_sink = MemorySink::new();
     let mut serve_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-    let _ = replay(
+    let _ = admitted(
         &stream,
-        families.clone(),
+        &families,
         &mut serve_policy,
         &config,
         Some(&mut serve_sink),
     );
 
     let mut batch_sink = MemorySink::new();
-    let rt = Runtime::new(stream.trace().clone(), families.clone(), config.runtime);
     let mut batch_policy = PulsePolicy::new(families.clone(), PulseConfig::default());
-    let session = rt.session_traced(
+    let _ = batch(
+        &stream,
+        &families,
         &mut batch_policy,
-        &config.plan,
-        config.cluster,
-        &mut batch_sink,
+        &config,
+        Some(&mut batch_sink),
     );
-    let _ = session.finish();
 
     assert!(!serve_sink.events().is_empty());
     assert_eq!(serve_sink.events(), batch_sink.events());
